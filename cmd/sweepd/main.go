@@ -105,7 +105,7 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 0, "worker pool size per sweep (0 = all CPUs); results are identical for any value")
 	maxBytes := fs.Int64("store-max-bytes", 0, "shard-cache size bound; LRU GC evicts over it (0 = unlimited)")
 	peers := fs.String("peers", "", "comma-separated worker URLs to fan shard compute out to")
-	batch := fs.Int("dispatch-batch", sweepserve.DefaultBatchSize, "shards per dispatched batch")
+	batch := fs.Int("dispatch-batch", sweepserve.DefaultBatchSize, "most shards per dispatched batch")
 	inflight := fs.Int("dispatch-inflight", sweepserve.DefaultInFlight, "batches in flight per worker")
 	retries := fs.Int("dispatch-retries", sweepserve.DefaultRetries, "retries per batch before a worker is marked dead")
 	timeout := fs.Duration("dispatch-timeout", sweepserve.DefaultTimeout, "per-batch request timeout")

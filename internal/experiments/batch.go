@@ -25,56 +25,52 @@ func NormalizeLERRuns(runs []LERResult) {
 	}
 }
 
+// CheckShardIndices rejects a shard batch that names an index twice or
+// one outside the spec's shard enumeration. It expects a Normalized
+// spec.
+func (s Spec) CheckShardIndices(indices []int) error {
+	n := s.NumShards()
+	seen := make(map[int]bool, len(indices))
+	for k, i := range indices {
+		if i < 0 || i >= n {
+			return fmt.Errorf("shard batch: index %d (position %d) out of range [0,%d)", i, k, n)
+		}
+		if seen[i] {
+			return fmt.Errorf("shard batch: index %d repeated (position %d)", i, k)
+		}
+		seen[i] = true
+	}
+	return nil
+}
+
 // RunShardBatch computes the shards of spec named by indices (in any
-// order, any subset) on a bounded worker pool and returns their runs,
-// indexed like indices. Each shard's runs are exactly what RunSpec
-// would compute for it — same engines, same seeds, same bits — so any
-// partition of a sweep's shards across any number of RunShardBatch
-// calls (local or remote) reassembles into the identical fold.
+// order, any subset, no repeats) on the local worker pool and returns
+// their runs, indexed like indices. Each shard's runs are exactly what
+// RunSpec would compute for it — same engines, same seeds, same bits —
+// so any partition of a sweep's shards across any number of
+// RunShardBatch calls (local or remote) reassembles into the identical
+// fold.
 //
 // opt.Lookup and opt.Persist have their RunSpec semantics (a worker's
 // local shard cache); opt.Progress is ignored — batches are a shard-
-// not point-granular unit. Cancelling ctx abandons undistributed
-// shards and returns ctx.Err().
+// not point-granular unit. Cancelling ctx abandons unstarted shards and
+// returns ctx.Err().
 func RunShardBatch(ctx context.Context, spec Spec, indices []int, opt RunOptions) ([][]LERResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	n := spec.NumShards()
-	for k, i := range indices {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("shard batch: index %d (position %d) out of range [0,%d)", i, k, n)
-		}
+	if err := spec.CheckShardIndices(indices); err != nil {
+		return nil, err
+	}
+	opt.Progress = nil
+	s := newScheduler(spec, NewLocalExecutor(spec, opt.Workers), opt)
+	if err := s.resolve(ctx, indices); err != nil {
+		return nil, err
 	}
 	out := make([][]LERResult, len(indices))
-	workers := resolveWorkers(opt.Workers)
-	runner := newShardRunner(spec, workers)
-	err := forEachShardWorkerCtx(ctx, len(indices), workers, func(w, k int) error {
-		sh := spec.Shard(indices[k])
-		if opt.Lookup != nil {
-			if rs, ok := opt.Lookup(sh); ok && len(rs) == sh.Count {
-				out[k] = rs
-				return nil
-			}
-		}
-		rs, err := runner.run(w, sh)
-		if err != nil {
-			return err
-		}
-		if len(rs) != sh.Count {
-			return fmt.Errorf("shard %d: engine produced %d runs, want %d", sh.Index, len(rs), sh.Count)
-		}
-		if opt.Persist != nil {
-			if err := opt.Persist(sh, rs); err != nil {
-				return fmt.Errorf("persist shard %d: %w", sh.Index, err)
-			}
-		}
-		out[k] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for k, i := range indices {
+		out[k] = s.runs[i]
 	}
 	return out, nil
 }

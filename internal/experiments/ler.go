@@ -389,6 +389,18 @@ func (p PointResult) MeanLER() float64 { return mean(p.LERs) }
 // StdLER returns the sample standard deviation of the LERs.
 func (p PointResult) StdLER() float64 { return stddev(p.LERs) }
 
+// add appends one shard's runs to the point, in run order.
+func (p *PointResult) add(runs []LERResult) {
+	for _, r := range runs {
+		p.LERs = append(p.LERs, r.LER)
+		p.WindowCounts = append(p.WindowCounts, float64(r.Windows))
+		p.GatesSaved = append(p.GatesSaved, r.GatesSavedFrac())
+		p.SlotsSaved = append(p.SlotsSaved, r.SlotsSavedFrac())
+		p.TotalErrors += int64(r.LogicalErrors)
+		p.TotalWindows += int64(r.Windows)
+	}
+}
+
 // PooledLER returns the pooled estimate m/R over all repetitions.
 func (p PointResult) PooledLER() float64 {
 	if p.TotalWindows == 0 {

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/framesim"
@@ -21,7 +20,7 @@ type RunOptions struct {
 	// Workers bounds the worker pool. Zero means runtime.GOMAXPROCS(0).
 	Workers int
 	// Progress, when non-nil, receives one call per completed point in
-	// ascending point order, serialized through the in-order collector.
+	// ascending point order, one call at a time.
 	Progress func(point int, per float64)
 	// Lookup, when non-nil, is consulted before computing a shard; a hit
 	// must return exactly sh.Count runs previously produced by an equal
@@ -137,73 +136,14 @@ func frameShotsToLER(rs []framesim.ShotResult) []LERResult {
 	return out
 }
 
-// RunSpec executes a sweep spec: every shard is looked up (opt.Lookup),
-// or computed and handed to opt.Persist, then the per-shard runs are
-// folded into PointResults. The fold is bit-identical for any worker
-// count, any Lookup hit pattern, and any interleaving of cached and
-// computed shards, because each shard's runs are a pure function of its
-// ShardConfig. Cancelling ctx stops handing out shards and returns
-// ctx.Err(); shards persisted before the cancel remain valid for resume.
+// RunSpec executes a sweep spec on the local worker pool: every shard
+// is looked up (opt.Lookup), or computed and handed to opt.Persist, then
+// the per-shard runs are folded into PointResults. It is Schedule on a
+// LocalExecutor; see Schedule for the determinism and cancellation
+// contract.
 func RunSpec(ctx context.Context, spec Spec, opt RunOptions) ([]PointResult, error) {
 	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.AdaptRelWidth > 0 {
-		return runAdaptiveSpec(ctx, spec, opt)
-	}
-	n := spec.NumShards()
-	runs := make([][]LERResult, n)
-
-	var progress *progressCollector
-	if opt.Progress != nil && spec.shardsPerPoint() > 0 {
-		progress = newProgressCollector(spec.PERs, spec.shardsPerPoint(), opt.Progress)
-	}
-	workers := resolveWorkers(opt.Workers)
-	runner := newShardRunner(spec, workers)
-	err := forEachShardWorkerCtx(ctx, n, workers, func(w, i int) error {
-		sh := spec.Shard(i)
-		if opt.Lookup != nil {
-			if rs, ok := opt.Lookup(sh); ok && len(rs) == sh.Count {
-				runs[i] = rs
-				if progress != nil {
-					progress.sampleDone(sh.Point)
-				}
-				return nil
-			}
-		}
-		rs, err := runner.run(w, sh)
-		if err != nil {
-			return err
-		}
-		if len(rs) != sh.Count {
-			return fmt.Errorf("shard %d: engine produced %d runs, want %d", i, len(rs), sh.Count)
-		}
-		if opt.Persist != nil {
-			if err := opt.Persist(sh, rs); err != nil {
-				return fmt.Errorf("persist shard %d: %w", i, err)
-			}
-		}
-		runs[i] = rs
-		if progress != nil {
-			progress.sampleDone(sh.Point)
-		}
-		return nil
-	})
-	if progress != nil {
-		progress.close()
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	out := FoldShards(spec, runs)
-	if opt.Progress != nil && spec.shardsPerPoint() == 0 {
-		for i, per := range spec.PERs {
-			opt.Progress(i, per) // degenerate sweep: keep the per-point contract
-		}
-	}
-	return out, nil
+	return Schedule(ctx, spec, NewLocalExecutor(spec, opt.Workers), opt)
 }
 
 // FoldShards merges per-shard runs (indexed like Spec.Shard) into the
@@ -222,15 +162,7 @@ func FoldShards(spec Spec, shardRuns [][]LERResult) []PointResult {
 		if rs == nil {
 			continue
 		}
-		pt := &out[spec.Shard(i).Point]
-		for _, r := range rs {
-			pt.LERs = append(pt.LERs, r.LER)
-			pt.WindowCounts = append(pt.WindowCounts, float64(r.Windows))
-			pt.GatesSaved = append(pt.GatesSaved, r.GatesSavedFrac())
-			pt.SlotsSaved = append(pt.SlotsSaved, r.SlotsSavedFrac())
-			pt.TotalErrors += int64(r.LogicalErrors)
-			pt.TotalWindows += int64(r.Windows)
-		}
+		out[spec.Shard(i).Point].add(rs)
 	}
 	return out
 }

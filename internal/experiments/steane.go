@@ -282,18 +282,6 @@ func RunSteaneSweep(cfg SteaneSweepConfig) ([]PointResult, error) {
 		spp = (cfg.Samples + span - 1) / span
 	}
 	points := len(cfg.PERs)
-	out := make([]PointResult, points)
-	for p, per := range cfg.PERs {
-		out[p].PER = per
-	}
-	if spp == 0 {
-		if cfg.Progress != nil {
-			for p, per := range cfg.PERs {
-				cfg.Progress(p, per)
-			}
-		}
-		return out, nil
-	}
 
 	lerConfig := func(p int, seed int64) LERConfig {
 		return LERConfig{
@@ -322,10 +310,8 @@ func RunSteaneSweep(cfg SteaneSweepConfig) ([]PointResult, error) {
 		return engines[p], engErr[p]
 	}
 
-	var progress *progressCollector
-	if cfg.Progress != nil {
-		progress = newProgressCollector(cfg.PERs, spp, cfg.Progress)
-	}
+	progress := newProgressCollector(cfg.PERs, spp, cfg.Progress)
+	defer progress.close()
 	runs := make([][]LERResult, points*spp)
 	err := forEachShardWorker(points*spp, workers, func(w, i int) error {
 		p, u := i/spp, i%spp
@@ -354,28 +340,19 @@ func RunSteaneSweep(cfg SteaneSweepConfig) ([]PointResult, error) {
 			}
 			runs[i] = []LERResult{r}
 		}
-		if progress != nil {
-			progress.sampleDone(p)
-		}
+		progress.retire(p, 1)
 		return nil
 	})
-	if progress != nil {
-		progress.close()
-	}
 	if err != nil {
 		return nil, err
 	}
 
+	out := make([]PointResult, points)
+	for p, per := range cfg.PERs {
+		out[p].PER = per
+	}
 	for i, rs := range runs {
-		pt := &out[i/spp]
-		for _, r := range rs {
-			pt.LERs = append(pt.LERs, r.LER)
-			pt.WindowCounts = append(pt.WindowCounts, float64(r.Windows))
-			pt.GatesSaved = append(pt.GatesSaved, r.GatesSavedFrac())
-			pt.SlotsSaved = append(pt.SlotsSaved, r.SlotsSavedFrac())
-			pt.TotalErrors += int64(r.LogicalErrors)
-			pt.TotalWindows += int64(r.Windows)
-		}
+		out[i/spp].add(rs)
 	}
 	return out, nil
 }

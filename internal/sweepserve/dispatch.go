@@ -1,9 +1,10 @@
 // The coordinator half of the distributed sweep fan-out: a Dispatcher
-// partitions a job's missing shards into batches and streams them to a
-// configured set of remote workers, pipelined — each peer keeps a
-// bounded number of batches in flight and pulls the next the moment one
-// completes, so a slow peer never stalls the rest of the fleet behind a
-// barrier. Failures degrade, never corrupt: a batch that errors is
+// is the remote shard executor of the experiments scheduler. It
+// partitions the shards a job's cache lookups missed into batches and
+// streams them to a configured set of remote workers, pipelined — each
+// peer keeps a bounded number of batches in flight and pulls the next
+// the moment one completes, so a slow peer only delays its own queue.
+// Failures degrade, never corrupt: a batch that errors is
 // retried on its peer with exponential backoff, a peer that exhausts
 // its retries is marked dead and its batch requeued for the survivors,
 // and when every peer is dead a local fallback drains the queue with
@@ -32,7 +33,8 @@ import (
 
 // Dispatch tuning defaults.
 const (
-	// DefaultBatchSize is the number of shards per dispatched batch.
+	// DefaultBatchSize is the largest number of shards per dispatched
+	// batch.
 	DefaultBatchSize = 8
 	// DefaultInFlight is the number of batches each peer keeps in flight.
 	DefaultInFlight = 2
@@ -50,7 +52,9 @@ type DispatchOptions struct {
 	// Peers are the worker base URLs (normalize with ParsePeers).
 	// Required: at least one, no duplicates, no empties.
 	Peers []string
-	// BatchSize is the number of shards per dispatched batch (> 0).
+	// BatchSize is the largest number of shards per dispatched batch
+	// (> 0); a call with few misses uses smaller batches so every
+	// in-flight slot gets one.
 	BatchSize int
 	// InFlight bounds each peer's concurrently outstanding batches (> 0).
 	InFlight int
@@ -62,8 +66,8 @@ type DispatchOptions struct {
 	Timeout time.Duration
 	// Backoff is the first retry delay, doubled per retry (>= 0).
 	Backoff time.Duration
-	// LocalWorkers bounds the local-fallback compute pool. Zero means
-	// GOMAXPROCS.
+	// LocalWorkers bounds the coordinator's own pool: its cache lookups
+	// and the local-fallback compute. Zero means GOMAXPROCS.
 	LocalWorkers int
 }
 
@@ -209,79 +213,71 @@ func (d *Dispatcher) Stats() DispatchStats {
 	}
 }
 
-// Run executes spec with shard compute fanned out to the worker set,
-// st as the shard cache and checkpoint, progress receiving completed
-// points in ascending order (the SSE contract), and note observing
-// each shard as it resolves (cached reports a store hit). The folded
-// results are byte-identical to a local single-worker run.
-//
-// Adaptive specs (AdaptRelWidth > 0) are rejected: their batch-barrier
-// stop rule is inherently sequential, so the server runs them through
-// the local cached pipeline instead.
+// Run executes spec through the experiments scheduler with the worker
+// set as its shard executor: st is the shard cache and checkpoint (its
+// lookups run on a pool of LocalWorkers goroutines, and only misses
+// travel), progress receives completed points in ascending order (the
+// SSE contract), and note observes each shard as it resolves (cached
+// reports a store hit; called concurrently). Adaptive specs dispatch one
+// batch barrier at a time. The folded results are byte-identical to a
+// local single-worker run.
 func (d *Dispatcher) Run(ctx context.Context, st *sweepstore.Store, spec experiments.Spec,
 	progress func(point int, per float64), note func(sh experiments.Shard, cached bool)) ([]experiments.PointResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.AdaptRelWidth > 0 {
-		return nil, fmt.Errorf("dispatch: adaptive sweeps are not distributable (run them through the local pipeline)")
+	opt, keys, err := sweepstore.CacheOptions(st, spec, note)
+	if err != nil {
+		return nil, err
 	}
-	n := spec.NumShards()
-	keys := make([]string, n)
-	for i := range keys {
-		k, err := sweepstore.ShardKey(spec.ShardConfig(spec.Shard(i)))
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
+	opt.Workers = d.opt.LocalWorkers
+	opt.Progress = progress
+	f := &fleet{
+		d:     d,
+		spec:  spec,
+		keys:  keys,
+		local: experiments.NewLocalExecutor(spec, d.opt.LocalWorkers),
+		dead:  make([]atomic.Bool, len(d.opt.Peers)),
 	}
-	runs := make([][]experiments.LERResult, n)
-	tracker := newPointTracker(spec, progress)
-
-	// Resolve cache hits locally first; only the misses travel.
-	var missing []int
-	for i := 0; i < n; i++ {
-		sh := spec.Shard(i)
-		if rs, ok := st.GetShard(keys[i], sh.Count, sh.Seed); ok {
-			runs[i] = rs
-			if note != nil {
-				note(sh, true)
-			}
-			tracker.shardDone(sh.Point)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		if err := d.dispatch(ctx, st, spec, keys, missing, runs, tracker, note); err != nil {
-			return nil, err
-		}
-	}
-	out := experiments.FoldShards(spec, runs)
-	tracker.finishDegenerate()
-	return out, nil
+	return experiments.Schedule(ctx, spec, f, opt)
 }
 
-// dispatch drains the missing shards through the peer set.
-func (d *Dispatcher) dispatch(ctx context.Context, st *sweepstore.Store, spec experiments.Spec,
-	keys []string, missing []int, runs [][]experiments.LERResult,
-	tracker *pointTracker, note func(sh experiments.Shard, cached bool)) error {
+// fleet is one sweep's experiments.ShardExecutor over the worker set.
+type fleet struct {
+	d     *Dispatcher
+	spec  experiments.Spec
+	keys  []string // content address of every shard
+	local *experiments.LocalExecutor
+	// dead marks peers (indexed like Peers) that exhausted their
+	// retries; a dead peer stays dead for the rest of the sweep, across
+	// every Execute call (one per adaptive batch barrier).
+	dead []atomic.Bool
+}
+
+// batchSize sizes one call's batches: at most BatchSize shards, and
+// small enough that every in-flight slot of the fleet gets a batch, so
+// a short adaptive barrier is not computed serially on one peer.
+func (f *fleet) batchSize(misses int) int {
+	slots := len(f.dead) * f.d.opt.InFlight
+	return max(1, min(f.d.opt.BatchSize, (misses+slots-1)/slots))
+}
+
+// Execute implements experiments.ShardExecutor: it drains indices
+// through the live peers, batch by batch, and hands every shard to put.
+func (f *fleet) Execute(ctx context.Context, indices []int, put func(i int, runs []experiments.LERResult) error) error {
 	var batches [][]int
-	for len(missing) > 0 {
-		size := d.opt.BatchSize
-		if size > len(missing) {
-			size = len(missing)
-		}
-		batches = append(batches, missing[:size])
-		missing = missing[size:]
+	size := f.batchSize(len(indices))
+	for len(indices) > 0 {
+		n := min(size, len(indices))
+		batches = append(batches, indices[:n])
+		indices = indices[n:]
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &dispatchRun{
-		d: d, st: st, spec: spec, keys: keys, runs: runs,
-		tracker: tracker, note: note,
+		fleet: f, put: put,
 		// Every batch is either queued or held by exactly one goroutine,
 		// so cap len(batches) makes requeues non-blocking.
 		queue:   make(chan []int, len(batches)),
@@ -293,14 +289,24 @@ func (d *Dispatcher) dispatch(ctx context.Context, st *sweepstore.Store, spec ex
 	for _, b := range batches {
 		r.queue <- b
 	}
-	r.alive.Store(int64(len(d.opt.Peers)))
 
+	// Count the live peers before any slot starts, so an early death
+	// cannot close allDead while a peer is still to be started.
+	var live []int
+	for p := range f.dead {
+		if !f.dead[p].Load() {
+			live = append(live, p)
+		}
+	}
+	r.alive.Store(int64(len(live)))
+	if len(live) == 0 {
+		close(r.allDead)
+	}
 	var wg sync.WaitGroup
-	for _, peer := range d.opt.Peers {
-		ps := &peerState{run: r, url: peer}
-		for slot := 0; slot < d.opt.InFlight; slot++ {
+	for _, p := range live {
+		for slot := 0; slot < f.d.opt.InFlight; slot++ {
 			wg.Add(1)
-			go ps.loop(ctx, &wg)
+			go r.peerLoop(ctx, p, &wg)
 		}
 	}
 	wg.Add(1)
@@ -317,22 +323,17 @@ func (d *Dispatcher) dispatch(ctx context.Context, st *sweepstore.Store, spec ex
 	return nil
 }
 
-// dispatchRun is the per-sweep dispatch state shared by the peer slots
-// and the local fallback.
+// dispatchRun is the state of one Execute call, shared by the peer
+// slots and the local fallback.
 type dispatchRun struct {
-	d       *Dispatcher
-	st      *sweepstore.Store
-	spec    experiments.Spec
-	keys    []string
-	runs    [][]experiments.LERResult
-	tracker *pointTracker
-	note    func(sh experiments.Shard, cached bool)
+	*fleet
+	put func(i int, runs []experiments.LERResult) error
 
 	queue   chan []int
 	pending atomic.Int64
 	done    chan struct{} // closed when pending hits zero
 	alive   atomic.Int64
-	allDead chan struct{} // closed when the last peer dies
+	allDead chan struct{} // closed when the last live peer dies
 	cancel  context.CancelFunc
 
 	errMu sync.Mutex
@@ -366,94 +367,81 @@ func (r *dispatchRun) batchDone() {
 	}
 }
 
-// peerDied marks one peer dead; the last death wakes the local
-// fallback.
-func (r *dispatchRun) peerDied() {
+// peerDied marks peer p dead for the rest of the sweep; the last death
+// wakes the local fallback.
+func (r *dispatchRun) peerDied(p int) {
+	if r.dead[p].Swap(true) {
+		return
+	}
+	r.d.failures.Add(1)
 	if r.alive.Add(-1) == 0 {
 		close(r.allDead)
 	}
 }
 
-// apply verifies one batch response end to end, then persists and
-// records every shard. Verify-all-then-apply keeps a malformed response
+// apply verifies one batch response end to end, then hands every shard
+// to the scheduler. Verify-all-then-apply keeps a malformed response
 // side-effect free: a batch is either fully applied once or fully
-// retried, so no shard is ever double-counted. A store write failure is
-// fatal (r.fail) — the cache is the job's checkpoint.
+// retried, so no shard is ever double-counted. A put failure (a store
+// write) is fatal — the cache is the job's checkpoint.
 func (r *dispatchRun) apply(batch []int, resp *ShardBatchResponse) error {
 	if len(resp.Shards) != len(batch) {
 		return fmt.Errorf("batch of %d shards answered with %d", len(batch), len(resp.Shards))
 	}
 	for k, sr := range resp.Shards {
 		i := batch[k]
-		sh := r.spec.Shard(i)
 		if sr.Index != i {
 			return fmt.Errorf("shard %d answered out of order (got index %d)", i, sr.Index)
 		}
 		if sr.Key != r.keys[i] {
 			return fmt.Errorf("shard %d: content address mismatch (worker %s, coordinator %s)", i, sr.Key, r.keys[i])
 		}
-		if len(sr.Runs) != sh.Count {
-			return fmt.Errorf("shard %d: %d runs, want %d", i, len(sr.Runs), sh.Count)
+		if want := r.spec.Shard(i).Count; len(sr.Runs) != want {
+			return fmt.Errorf("shard %d: %d runs, want %d", i, len(sr.Runs), want)
 		}
 	}
 	for k, sr := range resp.Shards {
-		i := batch[k]
-		sh := r.spec.Shard(i)
 		experiments.NormalizeLERRuns(sr.Runs)
-		if err := r.st.PutShard(r.keys[i], sh.Seed, sr.Runs); err != nil {
+		if err := r.put(batch[k], sr.Runs); err != nil {
 			r.fail(err)
 			return nil
 		}
-		r.runs[i] = sr.Runs
 		r.d.remoteShards.Add(1)
-		if r.note != nil {
-			r.note(sh, false)
-		}
-		r.tracker.shardDone(sh.Point)
 	}
 	r.d.batches.Add(1)
 	r.batchDone()
 	return nil
 }
 
-// peerState is one remote worker's dispatch state, shared by its
-// InFlight slots.
-type peerState struct {
-	run  *dispatchRun
-	url  string
-	dead atomic.Bool
-}
-
-// loop pulls batches for this peer until the run completes, the context
-// cancels, or the peer dies.
-func (p *peerState) loop(ctx context.Context, wg *sync.WaitGroup) {
+// peerLoop is one in-flight slot of peer p: it pulls batches until the
+// call completes, the context cancels, or the peer dies.
+func (r *dispatchRun) peerLoop(ctx context.Context, p int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		if p.dead.Load() {
+		if r.dead[p].Load() {
 			return
 		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-p.run.done:
+		case <-r.done:
 			return
-		case batch := <-p.run.queue:
-			if p.dead.Load() {
+		case batch := <-r.queue:
+			if r.dead[p].Load() {
 				// A sibling slot marked the peer dead while this one was
 				// blocked on the queue: hand the batch straight back.
-				p.run.requeue(batch)
+				r.requeue(batch)
 				return
 			}
-			p.process(ctx, batch)
+			r.process(ctx, p, batch)
 		}
 	}
 }
 
-// process runs one batch against the peer: attempt, retry with
+// process runs one batch against peer p: attempt, retry with
 // exponential backoff, and on exhaustion mark the peer dead and fail
 // the batch over to the survivors (or the local fallback).
-func (p *peerState) process(ctx context.Context, batch []int) {
-	r := p.run
+func (r *dispatchRun) process(ctx context.Context, p int, batch []int) {
 	r.d.inflight.Add(1)
 	defer r.d.inflight.Add(-1)
 	backoff := r.d.opt.Backoff
@@ -472,7 +460,7 @@ func (p *peerState) process(ctx context.Context, batch []int) {
 				backoff *= 2
 			}
 		}
-		resp, retryable, err := r.d.postBatch(ctx, p.url, r.spec, batch)
+		resp, retryable, err := r.d.postBatch(ctx, r.d.opt.Peers[p], r.spec, batch)
 		if err == nil {
 			if err := r.apply(batch, resp); err == nil {
 				return
@@ -486,10 +474,7 @@ func (p *peerState) process(ctx context.Context, batch []int) {
 			return
 		}
 	}
-	if !p.dead.Swap(true) {
-		r.d.failures.Add(1)
-		r.peerDied()
-	}
+	r.peerDied(p)
 	r.requeue(batch)
 }
 
@@ -535,8 +520,8 @@ func (d *Dispatcher) postBatch(ctx context.Context, peer string, spec experiment
 
 // localLoop is the fallback of last resort: it engages only once every
 // peer is dead (never competing with healthy workers for shards) and
-// drains the queue with the coordinator's own engine stack, so a sweep
-// always completes even with the whole fleet gone.
+// drains the queue with the coordinator's own local executor, so a
+// sweep always completes even with the whole fleet gone.
 func (r *dispatchRun) localLoop(ctx context.Context, wg *sync.WaitGroup) {
 	defer wg.Done()
 	select {
@@ -553,93 +538,20 @@ func (r *dispatchRun) localLoop(ctx context.Context, wg *sync.WaitGroup) {
 		case <-r.done:
 			return
 		case batch := <-r.queue:
-			r.computeLocal(ctx, batch)
+			err := r.local.Execute(ctx, batch, func(i int, runs []experiments.LERResult) error {
+				if err := r.put(i, runs); err != nil {
+					return err
+				}
+				r.d.localShards.Add(1)
+				return nil
+			})
+			if err != nil {
+				if ctx.Err() == nil {
+					r.fail(err)
+				}
+				return
+			}
+			r.batchDone()
 		}
-	}
-}
-
-// computeLocal computes one batch with the local engine stack (the same
-// shard path a worker runs remotely).
-func (r *dispatchRun) computeLocal(ctx context.Context, batch []int) {
-	runs, err := experiments.RunShardBatch(ctx, r.spec, batch, experiments.RunOptions{Workers: r.d.opt.LocalWorkers})
-	if err != nil {
-		if ctx.Err() != nil {
-			r.requeue(batch)
-			return
-		}
-		r.fail(err)
-		return
-	}
-	for k, i := range batch {
-		sh := r.spec.Shard(i)
-		if err := r.st.PutShard(r.keys[i], sh.Seed, runs[k]); err != nil {
-			r.fail(err)
-			return
-		}
-		r.runs[i] = runs[k]
-		r.d.localShards.Add(1)
-		if r.note != nil {
-			r.note(sh, false)
-		}
-		r.tracker.shardDone(sh.Point)
-	}
-	r.batchDone()
-}
-
-// pointTracker reproduces the pipeline's in-order Progress contract for
-// the dispatcher: point i is announced once all its shards and all
-// earlier points are complete, whatever the completion interleaving.
-type pointTracker struct {
-	mu        sync.Mutex
-	pers      []float64
-	remaining []int
-	next      int
-	fn        func(point int, per float64)
-}
-
-// newPointTracker builds a tracker; a nil fn (no subscriber) yields a
-// nil tracker, whose methods are no-ops.
-func newPointTracker(spec experiments.Spec, fn func(point int, per float64)) *pointTracker {
-	if fn == nil {
-		return nil
-	}
-	spp := 0
-	if len(spec.PERs) > 0 {
-		spp = spec.NumShards() / len(spec.PERs)
-	}
-	if spp == 0 {
-		// Degenerate sweep (no shards): announced by finishDegenerate.
-		return &pointTracker{pers: spec.PERs, fn: fn}
-	}
-	remaining := make([]int, len(spec.PERs))
-	for i := range remaining {
-		remaining[i] = spp
-	}
-	return &pointTracker{pers: spec.PERs, remaining: remaining, fn: fn}
-}
-
-// shardDone retires one shard of point p, announcing every newly
-// completed point in ascending order.
-func (t *pointTracker) shardDone(p int) {
-	if t == nil || t.remaining == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.remaining[p]--
-	for t.next < len(t.pers) && t.remaining[t.next] == 0 {
-		t.fn(t.next, t.pers[t.next])
-		t.next++
-	}
-}
-
-// finishDegenerate announces the points of a shardless sweep (Samples
-// 0), keeping the per-point Progress contract.
-func (t *pointTracker) finishDegenerate() {
-	if t == nil || t.remaining != nil {
-		return
-	}
-	for i, per := range t.pers {
-		t.fn(i, per)
 	}
 }

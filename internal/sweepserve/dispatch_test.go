@@ -167,6 +167,88 @@ func TestDispatchPartitionProperty(t *testing.T) {
 			}
 		})
 	}
+
+	// Adaptive sweeps dispatch one batch barrier at a time: the fleet
+	// must stop every point exactly where the serial run stops, and
+	// compute nothing past the stop.
+	adaptive := adaptivePartitionSpec()
+	wantAdaptive, wantAdaptiveBlob := serialReference(t, adaptive)
+	folded := 0
+	for p, pt := range wantAdaptive {
+		if len(pt.LERs) >= adaptive.Samples {
+			t.Fatalf("serial adaptive run: point %d ran all %d samples, no stop fired", p, adaptive.Samples)
+		}
+		folded += len(pt.LERs) // one run per stack shard
+	}
+	for _, tc := range []struct {
+		name         string
+		workers      int
+		batch        int
+		inflight     int
+		failFirst    int64
+		peerFailures int64
+	}{
+		{name: "adaptive_2workers_batch4_flaky", workers: 2, batch: 4, inflight: 2, failFirst: 2},
+		{name: "adaptive_3workers_batch1_flaky", workers: 3, batch: 1, inflight: 3, failFirst: 3},
+		// Worker 0 fails every request: it dies at the first barrier and
+		// must stay dead for the later ones.
+		{name: "adaptive_2workers_one_dead", workers: 2, batch: 2, inflight: 2, failFirst: 1 << 30, peerFailures: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := startWorkers(t, tc.workers, tc.failFirst)
+			d := newDispatcher(t, DispatchOptions{
+				Peers: peers, BatchSize: tc.batch, InFlight: tc.inflight, Retries: 3,
+			})
+			st, err := sweepstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var points []int
+			pts, err := d.Run(context.Background(), st, adaptive,
+				func(p int, _ float64) { points = append(points, p) }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := json.Marshal(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, wantAdaptiveBlob) {
+				t.Fatalf("dispatched adaptive fold diverged from serial run:\ndispatched: %+v\nserial:     %+v", pts, wantAdaptive)
+			}
+			if want := []int{0, 1}; !reflect.DeepEqual(points, want) {
+				t.Fatalf("progress points %v, want %v (ascending)", points, want)
+			}
+			ds := d.Stats()
+			if tc.failFirst > 0 && ds.Retries == 0 && ds.PeerFailures == 0 {
+				t.Error("flaky worker case recorded neither retries nor failovers")
+			}
+			if got := ds.RemoteShards + ds.LocalShards; got != int64(folded) {
+				t.Errorf("computed %d shards, folded %d: compute ran past an adaptive stop", got, folded)
+			}
+			if ds.PeerFailures != tc.peerFailures {
+				t.Errorf("peer failures %d, want %d", ds.PeerFailures, tc.peerFailures)
+			}
+		})
+	}
+}
+
+// adaptivePartitionSpec is a stack sweep whose Wilson stop fires after
+// a few batch barriers on both points, well before the sample budget.
+func adaptivePartitionSpec() experiments.Spec {
+	return experiments.Spec{
+		Engine:           "stack",
+		PERs:             []float64{5e-3, 1e-2},
+		Samples:          16,
+		ErrorType:        "x",
+		WithPauliFrame:   true,
+		MaxLogicalErrors: 3,
+		MaxWindows:       400,
+		BaseSeed:         11,
+		AdaptRelWidth:    0.4,
+		AdaptMinSamples:  4,
+		AdaptBatch:       2,
+	}
 }
 
 // TestDispatchAllPeersDeadFallsBackLocal: with every peer unreachable,
@@ -234,11 +316,11 @@ func TestDispatchServesFromCache(t *testing.T) {
 	ws := httptest.NewServer(http.NotFoundHandler())
 	ws.Close() // dead on arrival: any dispatch attempt would fail over
 	d := newDispatcher(t, DispatchOptions{Peers: []string{ws.URL}, BatchSize: 4, InFlight: 1, Retries: 0})
-	cached := 0
+	var cached atomic.Int64 // note runs on the lookup pool
 	pts, err := d.Run(context.Background(), st, spec, nil,
 		func(_ experiments.Shard, hit bool) {
 			if hit {
-				cached++
+				cached.Add(1)
 			}
 		})
 	if err != nil {
@@ -247,27 +329,44 @@ func TestDispatchServesFromCache(t *testing.T) {
 	if !reflect.DeepEqual(pts, want) {
 		t.Fatal("cache-served fold diverged from serial run")
 	}
-	if cached != spec.NumShards() {
-		t.Errorf("cached %d shards, want all %d", cached, spec.NumShards())
+	if got := cached.Load(); got != int64(spec.NumShards()) {
+		t.Errorf("cached %d shards, want all %d", got, spec.NumShards())
 	}
 	if ds := d.Stats(); ds.RemoteShards != 0 || ds.LocalShards != 0 {
 		t.Errorf("warm cache still computed: remote=%d local=%d", ds.RemoteShards, ds.LocalShards)
 	}
 }
 
-// TestDispatchRejectsAdaptive: adaptive sweeps are sequential by
-// construction and must not be fanned out.
-func TestDispatchRejectsAdaptive(t *testing.T) {
-	d := newDispatcher(t, DispatchOptions{Peers: []string{"http://127.0.0.1:1"}, BatchSize: 1, InFlight: 1})
-	st, err := sweepstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestDispatchBatchSizing: each dispatch call spreads its misses over
+// every in-flight slot, up to BatchSize shards per batch — so a short
+// adaptive barrier is not one serial batch on one peer.
+func TestDispatchBatchSizing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed e2e skipped in -short mode")
 	}
-	spec := partitionSpec()
-	spec.AdaptRelWidth = 0.1
-	if _, err := d.Run(context.Background(), st, spec, nil, nil); err == nil ||
-		!strings.Contains(err.Error(), "adaptive") {
-		t.Fatalf("adaptive spec dispatched: err=%v", err)
+	for _, tc := range []struct {
+		name        string
+		spec        experiments.Spec
+		wantBatches int64
+	}{
+		// 15 misses over 2 peers × 2 slots: batches of 4, not 8.
+		{name: "full", spec: partitionSpec(), wantBatches: 4},
+		// Barriers of 2 stack shards: one shard per batch.
+		{name: "adaptive", spec: adaptivePartitionSpec(), wantBatches: 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDispatcher(t, DispatchOptions{Peers: startWorkers(t, 2, 0), BatchSize: 8, InFlight: 2})
+			st, err := sweepstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Run(context.Background(), st, tc.spec, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Stats().Batches; got != tc.wantBatches {
+				t.Errorf("dispatched %d batches, want %d", got, tc.wantBatches)
+			}
+		})
 	}
 }
 
@@ -367,6 +466,7 @@ func TestWorkerRejects(t *testing.T) {
 		{"empty_batch", fmt.Sprintf(`{"version":%q,"spec":%s,"indices":[]}`, sweepstore.Version, specJSON)},
 		{"index_out_of_range", fmt.Sprintf(`{"version":%q,"spec":%s,"indices":[99]}`, sweepstore.Version, specJSON)},
 		{"negative_index", fmt.Sprintf(`{"version":%q,"spec":%s,"indices":[-1]}`, sweepstore.Version, specJSON)},
+		{"duplicate_index", fmt.Sprintf(`{"version":%q,"spec":%s,"indices":[3,3]}`, sweepstore.Version, specJSON)},
 		{"unknown_field", fmt.Sprintf(`{"version":%q,"spec":%s,"indices":[0],"bogus":1}`, sweepstore.Version, specJSON)},
 		{"garbage", `{`},
 	}

@@ -37,9 +37,10 @@ type Options struct {
 	Store *sweepstore.Store
 	// Workers bounds each job's worker pool. Zero means GOMAXPROCS.
 	Workers int
-	// Dispatch, when non-nil, fans shard compute out to its remote
-	// worker set. Adaptive sweeps (sequential by construction) still run
-	// through the local cached pipeline.
+	// Dispatch, when non-nil, fans every job's shard compute out to its
+	// remote worker set, adaptive sweeps included (one batch barrier at
+	// a time). Its cache lookups and local fallback use the
+	// Dispatcher's LocalWorkers, not Workers.
 	Dispatch *Dispatcher
 }
 
@@ -253,10 +254,10 @@ func (s *Server) startJob(spec experiments.Spec) (*job, int, error) {
 }
 
 // runJob drives one sweep to a stored result: through the distributed
-// dispatcher when one is configured (and the sweep is distributable),
-// through the shared local cached pipeline otherwise. Both paths write
-// the same shards to the same store and fold in the same index order,
-// so the result bytes do not depend on the route.
+// dispatcher when one is configured, through the shared local cached
+// pipeline otherwise. Both routes are the same scheduler over the same
+// store with a different shard executor, so the result bytes do not
+// depend on the route.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -272,12 +273,9 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	j.finish(pts)
 }
 
-// runSweep computes a job's points. Adaptive sweeps stay local: their
-// Wilson-interval stop rule decides each batch from the last one's
-// counts, a sequential dependency no fan-out can honor.
+// runSweep computes a job's points.
 func (s *Server) runSweep(ctx context.Context, j *job) ([]experiments.PointResult, error) {
-	//qa:allow float-eq zero is the adaptive-off sentinel, an exact flag value not a measurement
-	if s.dispatch != nil && j.spec.AdaptRelWidth == 0 {
+	if s.dispatch != nil {
 		return s.dispatch.Run(ctx, s.store, j.spec,
 			func(point int, per float64) { j.pointDone(point, per) },
 			func(_ experiments.Shard, cached bool) { j.noteShard(cached) })

@@ -151,46 +151,39 @@ func (w *Worker) handleShards(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, "empty shard batch")
 		return
 	}
-	n := spec.NumShards()
-	keys := make([]string, len(req.Indices))
-	for k, i := range req.Indices {
-		if i < 0 || i >= n {
-			w.rejected.Add(1)
-			writeError(rw, http.StatusBadRequest, "shard index %d out of range [0,%d)", i, n)
-			return
-		}
+	if err := spec.CheckShardIndices(req.Indices); err != nil {
+		w.rejected.Add(1)
+		writeError(rw, http.StatusBadRequest, "%v", err)
+		return
+	}
+	keys := make(map[int]string, len(req.Indices)) // read-only once built
+	for _, i := range req.Indices {
 		key, err := sweepstore.ShardKey(spec.ShardConfig(spec.Shard(i)))
 		if err != nil {
 			w.failed.Add(1)
 			writeError(rw, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		keys[k] = key
+		keys[i] = key
 	}
 
-	opt := experiments.RunOptions{Workers: w.workers}
-	if w.store != nil {
-		// The batch positions of one request are disjoint, so the worker
-		// goroutines index keys without locking. Position lookup walks the
-		// (small) batch linearly; batches are tens of shards, not millions.
-		pos := func(index int) int {
-			for k, i := range req.Indices {
-				if i == index {
-					return k
-				}
+	opt := experiments.RunOptions{
+		Workers: w.workers,
+		Persist: func(sh experiments.Shard, runs []experiments.LERResult) error {
+			w.computed.Add(1)
+			if w.store == nil {
+				return nil
 			}
-			return -1
-		}
+			return w.store.PutShard(keys[sh.Index], sh.Seed, runs)
+		},
+	}
+	if w.store != nil {
 		opt.Lookup = func(sh experiments.Shard) ([]experiments.LERResult, bool) {
-			runs, ok := w.store.GetShard(keys[pos(sh.Index)], sh.Count, sh.Seed)
+			runs, ok := w.store.GetShard(keys[sh.Index], sh.Count, sh.Seed)
 			if ok {
 				w.cached.Add(1)
 			}
 			return runs, ok
-		}
-		opt.Persist = func(sh experiments.Shard, runs []experiments.LERResult) error {
-			w.computed.Add(1)
-			return w.store.PutShard(keys[pos(sh.Index)], sh.Seed, runs)
 		}
 	}
 	runs, err := experiments.RunShardBatch(r.Context(), spec, req.Indices, opt)
@@ -201,10 +194,7 @@ func (w *Worker) handleShards(rw http.ResponseWriter, r *http.Request) {
 	}
 	resp := ShardBatchResponse{Shards: make([]ShardResult, len(req.Indices))}
 	for k, i := range req.Indices {
-		if w.store == nil {
-			w.computed.Add(1) // with a store, Lookup/Persist counted the split
-		}
-		resp.Shards[k] = ShardResult{Index: i, Key: keys[k], Runs: runs[k]}
+		resp.Shards[k] = ShardResult{Index: i, Key: keys[i], Runs: runs[k]}
 	}
 	writeJSON(rw, http.StatusOK, resp)
 }

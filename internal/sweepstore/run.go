@@ -21,19 +21,30 @@ func RunCached(ctx context.Context, st *Store, cfg experiments.SweepConfig, note
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Precompute the content address of every shard once; keys are pure
-	// functions of the spec.
+	opt, _, err := CacheOptions(st, spec, note)
+	if err != nil {
+		return nil, err
+	}
+	opt.Workers = cfg.Workers
+	opt.Progress = cfg.Progress
+	return experiments.RunSpec(ctx, spec, opt)
+}
+
+// CacheOptions returns the Lookup and Persist hooks that make st the
+// shard cache and checkpoint of a Normalized spec, together with every
+// shard's content address (indexed like Spec.Shard). note, when
+// non-nil, observes each shard as it resolves, as in RunCached.
+func CacheOptions(st *Store, spec experiments.Spec, note func(sh experiments.Shard, cached bool)) (experiments.RunOptions, []string, error) {
+	// Keys are pure functions of the spec: compute each once.
 	keys := make([]string, spec.NumShards())
 	for i := range keys {
 		k, err := ShardKey(spec.ShardConfig(spec.Shard(i)))
 		if err != nil {
-			return nil, err
+			return experiments.RunOptions{}, nil, err
 		}
 		keys[i] = k
 	}
-	return experiments.RunSpec(ctx, spec, experiments.RunOptions{
-		Workers:  cfg.Workers,
-		Progress: cfg.Progress,
+	return experiments.RunOptions{
 		Lookup: func(sh experiments.Shard) ([]experiments.LERResult, bool) {
 			runs, ok := st.GetShard(keys[sh.Index], sh.Count, sh.Seed)
 			if ok && note != nil {
@@ -47,5 +58,5 @@ func RunCached(ctx context.Context, st *Store, cfg experiments.SweepConfig, note
 			}
 			return st.PutShard(keys[sh.Index], sh.Seed, runs)
 		},
-	})
+	}, keys, nil
 }
