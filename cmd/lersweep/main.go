@@ -1,13 +1,17 @@
 // Command lersweep regenerates the logical-error-rate curves of thesis
 // Figs 5.11–5.16: the LER of a Surface Code 17 logical qubit versus the
 // physical error rate, with and without a Pauli frame, for logical X and
-// Z errors, over the full range or the pseudo-threshold zoom.
+// Z errors, over the full range or the pseudo-threshold zoom. With
+// -code steane it runs the same study on a Steane [[7,1,3]] logical
+// qubit (thesis §4.2.3).
 //
 // Usage:
 //
 //	lersweep -range full -type x -mode both -samples 3 -errors 20
 //	lersweep -range zoom -type z -mode pf -csv out.csv
 //	lersweep -store ./sweeps -samples 3   # cache shards; reruns are free
+//	lersweep -code steane -engine frame -lanes 8 -samples 512
+//	lersweep -code steane -engine sparse -min 1e-4 -max 2e-3 -points 7
 package main
 
 import (
@@ -25,7 +29,10 @@ import (
 )
 
 func main() {
-	rng := flag.String("range", "full", "PER range: full (1e-4..1e-2) or zoom (3e-4..5e-4, thesis Figs 5.12/5.14)")
+	code := flag.String("code", experiments.CodeSC17, "logical qubit: sc17 (Surface Code 17 ninja star) or steane (Steane [[7,1,3]])")
+	rng := flag.String("range", "full", "PER range preset: full (1e-4..1e-2) or zoom (3e-4..5e-4, thesis Figs 5.12/5.14)")
+	minPER := flag.Float64("min", 0, "lowest physical error rate of the sweep (default: the -range preset's lower bound)")
+	maxPER := flag.Float64("max", 0, "highest physical error rate of the sweep (default: the -range preset's upper bound)")
 	points := flag.Int("points", 9, "number of log-spaced PER points")
 	etype := flag.String("type", "x", "logical error type: x or z")
 	mode := flag.String("mode", "both", "configuration: nopf, pf or both")
@@ -49,6 +56,18 @@ func main() {
 	// exit with a usage error before any sweep work (or profile file)
 	// is started, not fail halfway through a multi-sweep run.
 	engine, err := experiments.ParseEngine(*engineName)
+	lo, hi := 1e-4, 1e-2
+	if *rng == "zoom" {
+		lo, hi = 3e-4, 5e-4
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "min":
+			lo = *minPER
+		case "max":
+			hi = *maxPER
+		}
+	})
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "lersweep: "+format+"\n", args...)
 		os.Exit(2)
@@ -58,8 +77,14 @@ func main() {
 		fail("unexpected argument %q", flag.Arg(0))
 	case err != nil:
 		fail("%v", err)
+	case *code != experiments.CodeSC17 && *code != experiments.CodeSteane:
+		fail("unknown code %q (want %s or %s)", *code, experiments.CodeSC17, experiments.CodeSteane)
 	case *rng != "full" && *rng != "zoom":
 		fail("unknown range %q (want full or zoom)", *rng)
+	case math.IsNaN(lo) || math.IsInf(lo, 0) || lo <= 0 || lo > 1:
+		fail("-min must be in (0, 1], got %v", lo)
+	case math.IsNaN(hi) || hi < lo || hi > 1:
+		fail("-max must be in [min, 1], got %v", hi)
 	case !strings.EqualFold(*etype, "x") && !strings.EqualFold(*etype, "z"):
 		fail("unknown type %q (want x or z)", *etype)
 	case *mode != "nopf" && *mode != "pf" && *mode != "both":
@@ -76,7 +101,7 @@ func main() {
 		fail("-workers must be >= 0, got %d", *workers)
 	case *lanes != 1 && *lanes != 2 && *lanes != 4 && *lanes != 8:
 		fail("-lanes must be 1, 2, 4 or 8, got %d", *lanes)
-	case *lanes > 1 && engine == experiments.EngineStack:
+	case *lanes > 1 && engine == experiments.EngineNameStack:
 		fail("-lanes needs a frame engine (-engine framesim or sparse)")
 	case math.IsNaN(*stopRel) || math.IsInf(*stopRel, 0) || *stopRel < 0:
 		fail("-stoprel must be a finite value >= 0, got %v", *stopRel)
@@ -126,10 +151,6 @@ func main() {
 		}()
 	}
 
-	lo, hi := 1e-4, 1e-2
-	if *rng == "zoom" {
-		lo, hi = 3e-4, 5e-4
-	}
 	et := experiments.LogicalX
 	if strings.EqualFold(*etype, "z") {
 		et = experiments.LogicalZ
@@ -137,6 +158,7 @@ func main() {
 
 	cfg := experiments.SweepConfig{
 		Engine:           engine,
+		Code:             *code,
 		PERs:             experiments.LogSpace(lo, hi, *points),
 		Samples:          *samples,
 		ErrorType:        et,
@@ -167,6 +189,12 @@ func main() {
 		return pts, err
 	}
 
+	// The thesis figures and the pseudo-threshold anchor are SC17's.
+	title, anchor := "PER vs LER", "  [thesis: ≈3.0e-4]"
+	figs := [3]string{" (Figs 5.11/5.12)", " (Figs 5.13/5.14)", " (Figs 5.15/5.16)"}
+	if *code == experiments.CodeSteane {
+		title, anchor, figs = "Steane [[7,1,3]] PER vs LER", "", [3]string{}
+	}
 	run := func(withPF bool, label string) []experiments.PointResult {
 		c := cfg
 		c.WithPauliFrame = withPF
@@ -180,9 +208,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lersweep:", err)
 			os.Exit(1)
 		}
-		fmt.Println(experiments.Table(pts, fmt.Sprintf("PER vs LER, logical %s errors, %s", et, label)))
+		fmt.Println(experiments.Table(pts, fmt.Sprintf("%s, logical %s errors, %s", title, et, label)))
 		if th := experiments.PseudoThreshold(pts); !math.IsNaN(th) {
-			fmt.Printf("pseudo-threshold (LER = PER crossing): %.3e  [thesis: ≈3.0e-4]\n\n", th)
+			fmt.Printf("pseudo-threshold (LER = PER crossing): %.3e%s\n\n", th, anchor)
 		} else {
 			fmt.Println("pseudo-threshold: no crossing in range")
 		}
@@ -205,13 +233,13 @@ func main() {
 
 	switch *mode {
 	case "nopf":
-		run(false, "without Pauli frame (Figs 5.11/5.12)")
+		run(false, "without Pauli frame"+figs[0])
 	case "pf":
-		run(true, "with Pauli frame (Figs 5.13/5.14)")
+		run(true, "with Pauli frame"+figs[1])
 	case "both":
-		without := run(false, "without Pauli frame (Figs 5.11/5.12)")
-		with := run(true, "with Pauli frame (Figs 5.13/5.14)")
-		fmt.Println("# overlay (Figs 5.15/5.16): PER, LER without PF, LER with PF, delta")
+		without := run(false, "without Pauli frame"+figs[0])
+		with := run(true, "with Pauli frame"+figs[1])
+		fmt.Println("# overlay" + figs[2] + ": PER, LER without PF, LER with PF, delta")
 		for i := range without {
 			if i >= len(with) {
 				break

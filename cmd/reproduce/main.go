@@ -58,7 +58,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reproduce: -lanes must be 1, 2, 4 or 8, got %d\n", *lanes)
 		os.Exit(2)
 	}
-	if *lanes > 1 && engine == experiments.EngineStack {
+	if *lanes > 1 && engine == experiments.EngineNameStack {
 		fmt.Fprintln(os.Stderr, "reproduce: -lanes needs a frame engine (-engine framesim or sparse)")
 		os.Exit(2)
 	}

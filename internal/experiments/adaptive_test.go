@@ -10,7 +10,7 @@ import (
 // path exercises a genuine early stop in a few batches.
 func adaptiveTestConfig(workers int) SweepConfig {
 	return SweepConfig{
-		Engine:           EngineSparse,
+		Engine:           EngineNameSparse,
 		PERs:             []float64{8e-3},
 		Samples:          1024,
 		ErrorType:        LogicalX,
@@ -78,7 +78,7 @@ func TestAdaptiveWorkerInvariance(t *testing.T) {
 	})
 	t.Run("stack", func(t *testing.T) {
 		cfg := SweepConfig{
-			Engine:           EngineStack,
+			Engine:           EngineNameStack,
 			PERs:             []float64{8e-3},
 			Samples:          96,
 			MaxLogicalErrors: 3,
@@ -140,7 +140,7 @@ func TestAdaptivePrefixOfFullSweep(t *testing.T) {
 // sample budget rather than stop on a degenerate all-zero pool.
 func TestAdaptiveZeroErrorPointRunsFull(t *testing.T) {
 	cfg := SweepConfig{
-		Engine:          EngineSparse,
+		Engine:          EngineNameSparse,
 		PERs:            []float64{1e-7},
 		Samples:         128,
 		MaxWindows:      20,

@@ -1,31 +1,44 @@
 package experiments
 
-import (
-	"repro/internal/framesim"
-	"repro/internal/layers"
-)
+import "repro/internal/framesim"
 
-// frameEngine compiles the framesim engine for one LER configuration.
-// cfg must already have its defaults applied.
-func frameEngine(cfg LERConfig) (*framesim.Engine, error) {
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
+// frameEngine is what the sweep needs of a compiled frame engine: one
+// wide pass over a shard's 64-shot words. framesim.Engine, Sparse and
+// SteaneEngine all provide it, with the same lane-extraction contract.
+type frameEngine interface {
+	RunBatchWide(seeds []int64, shots int) ([]framesim.ShotResult, error)
+}
+
+// newFrameEngine compiles the frame engine cfg's (code, engine) pair
+// names from the one framesim.Config mapping, so every code and engine
+// describes the same protocol. cfg must already have its defaults
+// applied; cfg.Seed seeds the noiseless reference run. The Steane
+// engines ignore the surface-code fields (InitRounds, DecoderRule).
+func newFrameEngine(cfg LERConfig) (frameEngine, error) {
 	obs := framesim.ObserveX
 	if cfg.ErrorType == LogicalZ {
 		obs = framesim.ObserveZ
 	}
-	return framesim.New(framesim.Config{
+	fc := framesim.Config{
 		Observable:       obs,
 		WithPauliFrame:   cfg.WithPauliFrame,
 		MaxLogicalErrors: cfg.MaxLogicalErrors,
 		MaxWindows:       cfg.MaxWindows,
 		InitRounds:       cfg.InitRounds,
 		DecoderRule:      cfg.DecoderRule,
-		Model:            model,
+		Model:            cfg.model(),
 		RefSeed:          cfg.Seed,
-	})
+	}
+	sparse := cfg.Engine == EngineNameSparse
+	switch {
+	case cfg.Code == CodeSteane && sparse:
+		return framesim.NewSteaneSparse(fc)
+	case cfg.Code == CodeSteane:
+		return framesim.NewSteane(fc)
+	case sparse:
+		return framesim.NewSparse(fc)
+	}
+	return framesim.New(fc)
 }
 
 // frameToLER converts a framesim shot into the harness result type.
@@ -47,61 +60,10 @@ func frameToLER(r framesim.ShotResult) LERResult {
 	return out
 }
 
-// runFrameLER runs a single shot on the frame engine.
-func runFrameLER(cfg LERConfig) (LERResult, error) {
-	cfg = cfg.withDefaults()
-	e, err := frameEngine(cfg)
-	if err != nil {
-		return LERResult{}, err
+func frameShotsToLER(rs []framesim.ShotResult) []LERResult {
+	out := make([]LERResult, len(rs))
+	for i, shot := range rs {
+		out[i] = frameToLER(shot)
 	}
-	rs, err := e.RunBatch(cfg.Seed, 1)
-	if err != nil {
-		return LERResult{}, err
-	}
-	return frameToLER(rs[0]), nil
+	return out
 }
-
-// sparseEngine compiles the sparse gap-skipping frame engine for one LER
-// configuration; it shares frameEngine's config mapping via
-// framesim.Config, so the two engines always describe the same protocol.
-func sparseEngine(cfg LERConfig) (*framesim.Sparse, error) {
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
-	obs := framesim.ObserveX
-	if cfg.ErrorType == LogicalZ {
-		obs = framesim.ObserveZ
-	}
-	return framesim.NewSparse(framesim.Config{
-		Observable:       obs,
-		WithPauliFrame:   cfg.WithPauliFrame,
-		MaxLogicalErrors: cfg.MaxLogicalErrors,
-		MaxWindows:       cfg.MaxWindows,
-		InitRounds:       cfg.InitRounds,
-		DecoderRule:      cfg.DecoderRule,
-		Model:            model,
-		RefSeed:          cfg.Seed,
-	})
-}
-
-// runSparseLER runs a single shot on the sparse frame engine.
-func runSparseLER(cfg LERConfig) (LERResult, error) {
-	cfg = cfg.withDefaults()
-	s, err := sparseEngine(cfg)
-	if err != nil {
-		return LERResult{}, err
-	}
-	rs, err := s.RunBatch(cfg.Seed, 1)
-	if err != nil {
-		return LERResult{}, err
-	}
-	return frameToLER(rs[0]), nil
-}
-
-// The framesim back end of sweeps lives in the shared pipeline
-// (pipeline.go): shardRunner compiles one immutable engine per point and
-// runs one 64-shot batch word per shard, seeded by
-// ShardSeed(BaseSeed, point, word) — the same determinism contract as
-// the stack sweep, though the two engines' RNG streams (and hence
-// individual runs) differ.

@@ -40,6 +40,23 @@ func TestSpecLanesValidation(t *testing.T) {
 	if got := wideSpec(EngineNameFrameSim, 1).Normalized().Lanes; got != 0 {
 		t.Errorf("Lanes=1 normalized to %d, want 0", got)
 	}
+	// The lane rules are the same for every code.
+	for _, lanes := range []int{3, 16} {
+		s := wideSpec(EngineNameFrameSim, lanes)
+		s.Code = CodeSteane
+		if err := s.Normalized().Validate(); err == nil {
+			t.Errorf("steane lanes=%d accepted", lanes)
+		}
+	}
+	steane := wideSpec(EngineNameSparse, 8)
+	steane.Code = CodeSteane
+	if err := steane.Normalized().Validate(); err != nil {
+		t.Errorf("steane lanes=8 rejected: %v", err)
+	}
+	steane.Engine = EngineNameStack
+	if err := steane.Normalized().Validate(); err == nil {
+		t.Error("steane stack engine accepted a lane width")
+	}
 }
 
 // TestShardEnumerationWide checks the lane-aware shard decomposition:

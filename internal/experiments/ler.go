@@ -19,6 +19,7 @@ import (
 	"repro/internal/layers"
 	"repro/internal/qpdo"
 	"repro/internal/stats"
+	"repro/internal/steane"
 	"repro/internal/surface"
 )
 
@@ -41,61 +42,13 @@ func (e ErrorType) String() string {
 	return "X"
 }
 
-// Engine selects the simulation engine behind the LER experiments.
-type Engine int
-
-// Engines.
-const (
-	// EngineStack drives the full QPDO layer stack of thesis Fig 5.8
-	// (ninja star → counters → [pauli frame] → error layer → CHP
-	// tableau), one shot at a time. It is the semantic oracle: every
-	// layer behaves exactly as the thesis specifies.
-	EngineStack Engine = iota
-	// EngineFrameSim drives the bit-sliced Pauli-frame engine
-	// (internal/framesim): 64 Monte-Carlo shots propagate per uint64
-	// word against a noiseless CHP reference run. Exact for the LER
-	// protocol (Clifford circuits + Pauli noise); validated against
-	// EngineStack by differential and statistical tests.
-	EngineFrameSim
-	// EngineSparse drives the sparse gap-skipping variant of the frame
-	// engine (framesim.Sparse): identical protocol semantics, but only
-	// nonzero frame entries are touched and whole noiseless windows are
-	// skipped via the geometric gap sampler — the engine of choice below
-	// pseudo-threshold where almost every window is empty. Scripted runs
-	// are bit-identical to EngineFrameSim; sampled runs agree
-	// statistically (the sparse engine skips the unobservable
-	// reset-gauge RNG draws, so the streams differ).
-	EngineSparse
-)
-
-// String names the engine like the -engine flag values.
-func (e Engine) String() string {
-	switch e {
-	case EngineFrameSim:
-		return "framesim"
-	case EngineSparse:
-		return "sparse"
-	}
-	return "stack"
-}
-
-// ParseEngine maps a -engine flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "stack", "chp", "qpdo":
-		return EngineStack, nil
-	case "framesim", "frame":
-		return EngineFrameSim, nil
-	case "sparse":
-		return EngineSparse, nil
-	}
-	return EngineStack, fmt.Errorf("unknown engine %q (want stack, framesim or sparse)", s)
-}
-
 // LERConfig parameterizes one logical-error-rate run.
 type LERConfig struct {
-	// Engine selects the simulation engine (default: the QPDO stack).
-	Engine Engine
+	// Engine names the simulation engine (EngineName*; "" is the QPDO
+	// stack).
+	Engine string
+	// Code names the logical qubit (Code*; "" is SC17).
+	Code string
 	// PER is the physical error rate p of the depolarizing model.
 	PER float64
 	// ErrorType selects the monitored logical error.
@@ -116,16 +69,6 @@ type LERConfig struct {
 	Model *layers.Model
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Lanes is the frame engines' batch width in 64-shot words for sweep
-	// execution (0 or 1 = single words; 2, 4, 8 = wide kernels). RunLER
-	// itself always runs one trajectory, so the field only shapes how the
-	// sweep pipeline groups this configuration's shots — never their
-	// values, because lane extraction is bit-identical.
-	Lanes int
-	// Workers bounds the pool of sample-parallel drivers built on this
-	// config (RunLERSamples); RunLER itself is a single sequential
-	// trajectory. Zero means runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 func (c LERConfig) withDefaults() LERConfig {
@@ -139,6 +82,15 @@ func (c LERConfig) withDefaults() LERConfig {
 		c.InitRounds = 3
 	}
 	return c
+}
+
+// model returns the run's error channel: Model when set, else the
+// thesis' symmetric depolarizing model at rate PER.
+func (c LERConfig) model() layers.Model {
+	if c.Model != nil {
+		return *c.Model
+	}
+	return layers.Depolarizing(c.PER)
 }
 
 // LERResult reports one run.
@@ -185,9 +137,13 @@ func (r LERResult) SlotsSavedFrac() float64 {
 	return float64(r.SlotsIssued-r.SlotsExecuted) / float64(r.SlotsIssued)
 }
 
-// lerStack bundles the layers of the Fig 5.8 test stack.
+// lerStack bundles the layers of the Fig 5.8 test stack. The bottom —
+// counters → [pauli frame] → error layer → CHP — is shared by every
+// code; the code decides only the top layer (exactly one of star and
+// steane is set) and the window loop that drives it.
 type lerStack struct {
 	star       *surface.NinjaStarLayer
+	steane     *steane.Layer
 	counterTop *layers.CounterLayer
 	counterMid *layers.CounterLayer
 	pf         *layers.PauliFrameLayer
@@ -195,19 +151,16 @@ type lerStack struct {
 	chp        *layers.ChpCore
 }
 
-// buildStack assembles: ninja star → counter → [pauli frame] → counter →
-// error → chp (the bottom counter of Fig 5.8 is omitted: its stream is
+// buildStack assembles: code layer → counter → [pauli frame] → counter
+// → error → chp (the bottom counter of Fig 5.8 is omitted: its stream is
 // identical to the error layer's input plus injected errors, which the
-// error layer already counts).
+// error layer already counts). cfg must already have its defaults
+// applied.
 func buildStack(cfg LERConfig) (*lerStack, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &lerStack{}
 	s.chp = layers.NewChpCore(rand.New(rand.NewSource(rng.Int63())))
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
-	s.errl = layers.NewErrorLayerModel(s.chp, model, rand.New(rand.NewSource(rng.Int63())))
+	s.errl = layers.NewErrorLayerModel(s.chp, cfg.model(), rand.New(rand.NewSource(rng.Int63())))
 	s.counterMid = layers.NewCounterLayer(s.errl)
 	var below qpdo.Core = s.counterMid
 	if cfg.WithPauliFrame {
@@ -215,12 +168,19 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 		below = s.pf
 	}
 	s.counterTop = layers.NewCounterLayer(below)
-	s.star = surface.NewNinjaStarLayer(s.counterTop, surface.Config{
-		Ancilla:     surface.AncillaDedicated,
-		InitRounds:  cfg.InitRounds,
-		DecoderRule: cfg.DecoderRule,
-	})
-	if err := s.star.CreateQubits(1); err != nil {
+	var top qpdo.Core
+	if cfg.Code == CodeSteane {
+		s.steane = steane.NewLayer(s.counterTop)
+		top = s.steane
+	} else {
+		s.star = surface.NewNinjaStarLayer(s.counterTop, surface.Config{
+			Ancilla:     surface.AncillaDedicated,
+			InitRounds:  cfg.InitRounds,
+			DecoderRule: cfg.DecoderRule,
+		})
+		top = s.star
+	}
+	if err := top.CreateQubits(1); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -230,18 +190,15 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 // produce, reusing every allocation. The RNG derivation chain mirrors
 // buildStack exactly (one master RNG seeded by cfg.Seed, first child for
 // the CHP core, second for the error layer), so a reused stack is
-// bit-identical to a fresh one. The ninja-star layer needs no explicit
-// reset: the protocol's initial Prep re-establishes rotation, dance mode,
-// decoder carries and logical state, and its cached ESM circuits are pure
-// functions of the fixed geometry.
+// bit-identical to a fresh one. The code layers need no explicit reset:
+// the protocol's initial Prep re-establishes the star's rotation, dance
+// mode, decoder carries and logical state (its cached ESM circuits are
+// pure functions of the fixed geometry), and re-projects the Steane
+// codespace, clearing its two-round decode history.
 func (s *lerStack) reset(cfg LERConfig) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s.chp.Reset(rand.New(rand.NewSource(rng.Int63())))
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
-	s.errl.Reconfigure(model, rand.New(rand.NewSource(rng.Int63())))
+	s.errl.Reconfigure(cfg.model(), rand.New(rand.NewSource(rng.Int63())))
 	s.counterMid.ResetStats()
 	s.counterTop.ResetStats()
 	if s.pf != nil {
@@ -249,10 +206,19 @@ func (s *lerStack) reset(cfg LERConfig) {
 	}
 }
 
+// run drives the code's windows protocol on the initialized stack; cfg
+// must already have its defaults applied.
+func (s *lerStack) run(cfg LERConfig) (LERResult, error) {
+	if s.steane != nil {
+		return runSteaneLER(cfg, s)
+	}
+	return runLER(cfg, s)
+}
+
 // stackPool hands one reusable stack to each Monte-Carlo worker. The
-// pooled stacks must share the structural configuration (WithPauliFrame,
-// InitRounds, DecoderRule); per-run fields (PER, Seed, Model) are applied
-// by reset.
+// pooled stacks must share the structural configuration (Code,
+// WithPauliFrame, InitRounds, DecoderRule); per-run fields (PER, Seed,
+// Model) are applied by reset.
 type stackPool struct {
 	stacks []*lerStack
 }
@@ -275,26 +241,41 @@ func (p *stackPool) run(w int, cfg LERConfig) (LERResult, error) {
 	} else {
 		s.reset(cfg)
 	}
-	return runLER(cfg, s)
+	return s.run(cfg)
 }
 
 // RunLER executes the windows protocol of thesis Listing 5.7 for one
-// physical error rate: initialize the logical qubit noiselessly, then
-// repeatedly run QEC windows, count windows, and — whenever the data
-// qubits carry no observable error — probe for a logical error.
+// physical error rate on the code and engine cfg names: initialize the
+// logical qubit noiselessly, then repeatedly run QEC windows, count
+// windows, and — whenever the data qubits carry no observable error —
+// probe for a logical error. A frame engine runs the one trajectory as
+// a single-shot batch whose noiseless reference is seeded by cfg.Seed.
 func RunLER(cfg LERConfig) (LERResult, error) {
 	cfg = cfg.withDefaults()
+	switch cfg.Code {
+	case "", CodeSC17, CodeSteane:
+	default:
+		return LERResult{}, fmt.Errorf("unknown code %q (want %s or %s)", cfg.Code, CodeSC17, CodeSteane)
+	}
 	switch cfg.Engine {
-	case EngineFrameSim:
-		return runFrameLER(cfg)
-	case EngineSparse:
-		return runSparseLER(cfg)
+	case "", EngineNameStack:
+		s, err := buildStack(cfg)
+		if err != nil {
+			return LERResult{}, err
+		}
+		return s.run(cfg)
+	case EngineNameFrameSim, EngineNameSparse:
+		e, err := newFrameEngine(cfg)
+		if err != nil {
+			return LERResult{}, err
+		}
+		rs, err := e.RunBatchWide([]int64{cfg.Seed}, 1)
+		if err != nil {
+			return LERResult{}, err
+		}
+		return frameToLER(rs[0]), nil
 	}
-	s, err := buildStack(cfg)
-	if err != nil {
-		return LERResult{}, err
-	}
-	return runLER(cfg, s)
+	return LERResult{}, fmt.Errorf("unknown engine %q (want stack, framesim or sparse)", cfg.Engine)
 }
 
 // runLER drives the windows protocol on an initialized stack; cfg must
@@ -444,8 +425,11 @@ func stddev(xs []float64) float64 {
 
 // SweepConfig parameterizes a PER sweep (thesis Figs 5.11-5.14).
 type SweepConfig struct {
-	// Engine selects the simulation engine (default: the QPDO stack).
-	Engine           Engine
+	// Engine names the simulation engine (EngineName*; "" is the QPDO
+	// stack).
+	Engine string
+	// Code names the logical qubit (Code*; "" is SC17).
+	Code             string
 	PERs             []float64
 	Samples          int
 	ErrorType        ErrorType

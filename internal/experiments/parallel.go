@@ -43,22 +43,18 @@ func resolveWorkers(w int) int {
 // error the pool stops handing out new jobs and the lowest-indexed
 // error among the jobs that ran is returned.
 func forEachShard(n, workers int, job func(i int) error) error {
-	return forEachShardWorker(n, workers, func(_, i int) error { return job(i) })
+	return forEachShardWorkerCtx(context.Background(), n, workers, func(_, i int) error { return job(i) })
 }
 
-// forEachShardWorker is forEachShard with the worker index exposed: job
-// receives (w, i) where w < workers identifies the goroutine running it.
-// Jobs on the same worker run strictly sequentially, so per-worker state
-// (a reusable simulator stack) needs no locking.
-func forEachShardWorker(n, workers int, job func(w, i int) error) error {
-	return forEachShardWorkerCtx(context.Background(), n, workers, job)
-}
-
-// forEachShardWorkerCtx is forEachShardWorker with cancellation: between
-// jobs every worker checks ctx, and a cancelled context stops the pool
-// from handing out new shards. Jobs already started run to completion
-// (their results stay valid — the caller may have persisted them), and
-// ctx.Err() is returned unless a job error takes precedence.
+// forEachShardWorkerCtx is forEachShard with the worker index exposed
+// and with cancellation. job receives (w, i) where w < workers
+// identifies the goroutine running it; jobs on the same worker run
+// strictly sequentially, so per-worker state (a reusable simulator
+// stack) needs no locking. Between jobs every worker checks ctx, and a
+// cancelled context stops the pool from handing out new shards. Jobs
+// already started run to completion (their results stay valid — the
+// caller may have persisted them), and ctx.Err() is returned unless a
+// job error takes precedence.
 func forEachShardWorkerCtx(ctx context.Context, n, workers int, job func(w, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -107,42 +103,6 @@ func forEachShardWorkerCtx(ctx context.Context, n, workers int, job func(w, i in
 		}
 	}
 	return ctx.Err()
-}
-
-// RunLERSamples runs `samples` independent repetitions of one LER
-// configuration in parallel (pool size cfg.Workers), seeding repetition
-// s with ShardSeed(cfg.Seed, 0, s). Each worker reuses one simulator
-// stack across its repetitions. The result order is by repetition index
-// and is bit-identical for any worker count.
-func RunLERSamples(cfg LERConfig, samples int) ([]LERResult, error) {
-	if samples < 0 {
-		samples = 0
-	}
-	out := make([]LERResult, samples)
-	workers := resolveWorkers(cfg.Workers)
-	pool := newStackPool(workers)
-	err := forEachShardWorker(samples, workers, func(w, s int) error {
-		c := cfg
-		c.Seed = ShardSeed(cfg.Seed, 0, s)
-		var (
-			r   LERResult
-			err error
-		)
-		if c.Engine == EngineStack {
-			r, err = pool.run(w, c)
-		} else {
-			r, err = RunLER(c)
-		}
-		if err != nil {
-			return err
-		}
-		out[s] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RunGenericLERSweep runs the distance-scaling study (cmd/dsweep) with

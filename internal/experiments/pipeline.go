@@ -9,8 +9,6 @@ package experiments
 import (
 	"context"
 	"sync"
-
-	"repro/internal/framesim"
 )
 
 // RunOptions carries the runtime-only knobs of a pipeline run — none of
@@ -34,15 +32,14 @@ type RunOptions struct {
 }
 
 // shardRunner computes shards: one reusable stack per worker for the
-// QPDO engine, one lazily compiled immutable frame engine (dense or
-// sparse) per point.
+// QPDO engine, one lazily compiled immutable frame engine per point for
+// the frame engines.
 type shardRunner struct {
 	spec Spec
 	pool *stackPool
 
 	once    []sync.Once
-	engines []*framesim.Engine
-	sparses []*framesim.Sparse
+	engines []frameEngine
 	engErr  []error
 }
 
@@ -51,19 +48,20 @@ func newShardRunner(spec Spec, workers int) *shardRunner {
 		spec:    spec,
 		pool:    newStackPool(workers),
 		once:    make([]sync.Once, len(spec.PERs)),
-		engines: make([]*framesim.Engine, len(spec.PERs)),
-		sparses: make([]*framesim.Sparse, len(spec.PERs)),
+		engines: make([]frameEngine, len(spec.PERs)),
 		engErr:  make([]error, len(spec.PERs)),
 	}
 }
 
-// lerConfig builds the per-shard LERConfig of point p (stack engine).
+// lerConfig builds the per-shard LERConfig of point p.
 func (r *shardRunner) lerConfig(p int, seed int64) LERConfig {
 	et := LogicalX
 	if r.spec.ErrorType == "z" {
 		et = LogicalZ
 	}
 	return LERConfig{
+		Engine:           r.spec.Engine,
+		Code:             r.spec.Code,
 		PER:              r.spec.PERs[p],
 		ErrorType:        et,
 		WithPauliFrame:   r.spec.WithPauliFrame,
@@ -73,67 +71,37 @@ func (r *shardRunner) lerConfig(p int, seed int64) LERConfig {
 	}
 }
 
-// engine returns point p's compiled framesim engine, building it on
-// first use. Engines are immutable and shared across workers; the
-// compile seed is the sweep's BaseSeed (the noiseless reference run),
-// matching the pre-pipeline frame sweep exactly.
-func (r *shardRunner) engine(p int) (*framesim.Engine, error) {
+// engine returns point p's compiled frame engine, building it on first
+// use. Engines are immutable and shared across workers; the compile seed
+// is the sweep's BaseSeed (the noiseless reference run).
+func (r *shardRunner) engine(p int) (frameEngine, error) {
 	r.once[p].Do(func() {
-		r.engines[p], r.engErr[p] = frameEngine(r.lerConfig(p, r.spec.BaseSeed).withDefaults())
+		r.engines[p], r.engErr[p] = newFrameEngine(r.lerConfig(p, r.spec.BaseSeed).withDefaults())
 	})
 	return r.engines[p], r.engErr[p]
 }
 
-// sparse returns point p's compiled sparse frame engine, sharing the
-// per-point once with engine (a spec runs exactly one engine kind).
-func (r *shardRunner) sparse(p int) (*framesim.Sparse, error) {
-	r.once[p].Do(func() {
-		r.sparses[p], r.engErr[p] = sparseEngine(r.lerConfig(p, r.spec.BaseSeed).withDefaults())
-	})
-	return r.sparses[p], r.engErr[p]
-}
-
 // run computes shard sh on worker w.
 func (r *shardRunner) run(w int, sh Shard) ([]LERResult, error) {
-	switch r.spec.Engine {
-	case EngineNameFrameSim:
-		e, err := r.engine(sh.Point)
+	if !r.spec.batchEngine() {
+		res, err := r.pool.run(w, r.lerConfig(sh.Point, sh.Seed))
 		if err != nil {
 			return nil, err
 		}
-		// One wide pass over the shard's words (RunBatch is the
-		// single-word special case of the same call): word k is seeded by
-		// its global word index, so results are bit-identical to running
-		// each word alone at Lanes = 1.
-		rs, err := e.RunBatchWide(r.spec.WordSeeds(sh), sh.Count)
-		if err != nil {
-			return nil, err
-		}
-		return frameShotsToLER(rs), nil
-	case EngineNameSparse:
-		s, err := r.sparse(sh.Point)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := s.RunBatchWide(r.spec.WordSeeds(sh), sh.Count)
-		if err != nil {
-			return nil, err
-		}
-		return frameShotsToLER(rs), nil
+		return []LERResult{res}, nil
 	}
-	res, err := r.pool.run(w, r.lerConfig(sh.Point, sh.Seed))
+	e, err := r.engine(sh.Point)
 	if err != nil {
 		return nil, err
 	}
-	return []LERResult{res}, nil
-}
-
-func frameShotsToLER(rs []framesim.ShotResult) []LERResult {
-	out := make([]LERResult, len(rs))
-	for i, shot := range rs {
-		out[i] = frameToLER(shot)
+	// One wide pass over the shard's words (a single word is the width-1
+	// case of the same call): word k is seeded by its global word index,
+	// so results are bit-identical to running each word alone at Lanes 1.
+	rs, err := e.RunBatchWide(r.spec.WordSeeds(sh), sh.Count)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return frameShotsToLER(rs), nil
 }
 
 // RunSpec executes a sweep spec on the local worker pool: every shard

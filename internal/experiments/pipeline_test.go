@@ -70,6 +70,8 @@ func TestSpecValidate(t *testing.T) {
 		{PERs: []float64{0}},
 		{PERs: []float64{1.5}},
 		{PERs: []float64{-1e-3}},
+		{PERs: []float64{1e-3}, Code: "surface"},
+		{PERs: []float64{1e-3}, Code: "Steane"},
 	}
 	for i, s := range bad {
 		if err := s.Normalized().Validate(); err == nil {
@@ -78,6 +80,18 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := pipelineTestSpec().Normalized().Validate(); err != nil {
 		t.Errorf("good spec rejected: %v", err)
+	}
+	// "sc17" is the SC17 default spelled out: it normalizes onto the
+	// canonical empty code, so both spellings are one computation.
+	sc17 := pipelineTestSpec()
+	sc17.Code = CodeSC17
+	if got := sc17.Normalized(); !reflect.DeepEqual(got, pipelineTestSpec().Normalized()) {
+		t.Errorf("code sc17 normalized to %+v", got)
+	}
+	steane := pipelineTestSpec()
+	steane.Code = CodeSteane
+	if err := steane.Normalized().Validate(); err != nil {
+		t.Errorf("steane spec rejected: %v", err)
 	}
 	// SweepConfig round trip preserves the computation.
 	cfg, err := pipelineTestSpec().SweepConfig()
@@ -92,7 +106,7 @@ func TestSpecValidate(t *testing.T) {
 // TestRunSpecMatchesRunSweep: the pipeline entry point and the classic
 // sweep API are the same computation, bit for bit, on both engines.
 func TestRunSpecMatchesRunSweep(t *testing.T) {
-	for _, engine := range []Engine{EngineStack, EngineFrameSim} {
+	for _, engine := range []string{EngineNameStack, EngineNameFrameSim} {
 		cfg := SweepConfig{
 			Engine:           engine,
 			PERs:             []float64{3e-3, 8e-3},

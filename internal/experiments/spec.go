@@ -11,20 +11,68 @@ import (
 	"math"
 )
 
-// Engine names used in serialized specs (the -engine flag vocabulary).
+// Engine names: the -engine flag vocabulary and the engine field of
+// specs, sweep and LER configurations ("" means EngineNameStack).
 const (
-	EngineNameStack    = "stack"
+	// EngineNameStack drives the full QPDO layer stack of thesis Fig 5.8
+	// (code layer → counters → [pauli frame] → error layer → CHP
+	// tableau), one shot at a time. It is the semantic oracle: every
+	// layer behaves exactly as the thesis specifies.
+	EngineNameStack = "stack"
+	// EngineNameFrameSim drives the bit-sliced Pauli-frame engine
+	// (internal/framesim): 64 Monte-Carlo shots propagate per uint64
+	// word against a noiseless CHP reference run. Exact for the LER
+	// protocol (Clifford circuits + Pauli noise); validated against the
+	// stack by differential and statistical tests.
 	EngineNameFrameSim = "framesim"
-	EngineNameSparse   = "sparse"
+	// EngineNameSparse drives the sparse gap-skipping variant of the
+	// frame engine: identical protocol semantics, but only nonzero frame
+	// entries are touched and whole noiseless windows are skipped via
+	// the geometric gap sampler — the engine of choice below
+	// pseudo-threshold where almost every window is empty. Scripted runs
+	// are bit-identical to the dense frame engine; sampled runs agree
+	// statistically (the sparse engine skips the unobservable
+	// reset-gauge RNG draws, so the streams differ).
+	EngineNameSparse = "sparse"
 )
+
+// Code names: the -code flag vocabulary and the code field of specs,
+// sweep and LER configurations. The empty string is the canonical SC17
+// value, so SC17 specs and shard keys carry no code field at all.
+const (
+	// CodeSC17 is the Surface Code 17 ninja star of the thesis; specs
+	// normalize it to "".
+	CodeSC17 = "sc17"
+	// CodeSteane is the Steane [[7,1,3]] code (thesis §4.2.3): one window
+	// is one noisy ESM round with two-round-agreement decode.
+	CodeSteane = "steane"
+)
+
+// ParseEngine maps an -engine flag value to its canonical engine name,
+// accepting the aliases frame (framesim) and chp/qpdo (stack).
+func ParseEngine(s string) (string, error) {
+	switch s {
+	case EngineNameStack, "chp", "qpdo":
+		return EngineNameStack, nil
+	case EngineNameFrameSim, "frame":
+		return EngineNameFrameSim, nil
+	case EngineNameSparse:
+		return EngineNameSparse, nil
+	}
+	return "", fmt.Errorf("unknown engine %q (want stack, framesim or sparse)", s)
+}
 
 // Spec is the serializable form of a SweepConfig: the pure inputs of a
 // sweep, with the runtime-only fields (Workers, Progress) stripped.
 // Results are a pure function of a normalized Spec — same Spec, same
 // bits, for any worker count, process, or machine.
 type Spec struct {
-	// Engine selects the simulation engine: "stack" or "framesim".
+	// Engine selects the simulation engine: "stack", "framesim" or
+	// "sparse".
 	Engine string `json:"engine"`
+	// Code selects the logical qubit: "" (SC17) or "steane". Omitted for
+	// SC17, so SC17 spec hashes do not depend on the field's existence.
+	Code string `json:"code,omitempty"`
 	// PERs are the physical error rates of the sweep points.
 	PERs []float64 `json:"pers"`
 	// Samples is the number of Monte-Carlo repetitions per point.
@@ -67,7 +115,8 @@ func SpecOf(cfg SweepConfig) Spec {
 		et = "z"
 	}
 	return Spec{
-		Engine:           cfg.Engine.String(),
+		Engine:           cfg.Engine,
+		Code:             cfg.Code,
 		PERs:             cfg.PERs,
 		Samples:          cfg.Samples,
 		ErrorType:        et,
@@ -89,16 +138,13 @@ func (s Spec) SweepConfig() (SweepConfig, error) {
 	if err := s.Validate(); err != nil {
 		return SweepConfig{}, err
 	}
-	engine, err := ParseEngine(s.Engine)
-	if err != nil {
-		return SweepConfig{}, err
-	}
 	et := LogicalX
 	if s.ErrorType == "z" {
 		et = LogicalZ
 	}
 	return SweepConfig{
-		Engine:           engine,
+		Engine:           s.Engine,
+		Code:             s.Code,
 		PERs:             s.PERs,
 		Samples:          s.Samples,
 		ErrorType:        et,
@@ -120,6 +166,9 @@ func (s Spec) SweepConfig() (SweepConfig, error) {
 func (s Spec) Normalized() Spec {
 	if s.Engine == "" {
 		s.Engine = EngineNameStack
+	}
+	if s.Code == CodeSC17 {
+		s.Code = "" // like Lanes 1 → 0: one spelling per computation
 	}
 	if s.ErrorType == "" {
 		s.ErrorType = "x"
@@ -165,6 +214,11 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("spec: unknown engine %q (want %s, %s or %s)",
 			s.Engine, EngineNameStack, EngineNameFrameSim, EngineNameSparse)
+	}
+	switch s.Code {
+	case "", CodeSteane:
+	default:
+		return fmt.Errorf("spec: unknown code %q (want %s or %s)", s.Code, CodeSC17, CodeSteane)
 	}
 	switch s.ErrorType {
 	case "x", "z":
@@ -297,7 +351,9 @@ func (s Spec) WordSeeds(sh Shard) []int64 {
 // contract), which makes the struct the natural content-address key for
 // the sweep result cache.
 type ShardConfig struct {
-	Engine           string  `json:"engine"`
+	Engine string `json:"engine"`
+	// Code is the spec's code, omitted for SC17 like Spec.Code.
+	Code             string  `json:"code,omitempty"`
 	PER              float64 `json:"per"`
 	ErrorType        string  `json:"error_type"`
 	WithPauliFrame   bool    `json:"with_pauli_frame"`
@@ -323,6 +379,7 @@ func (s Spec) ShardConfig(sh Shard) ShardConfig {
 	s = s.Normalized()
 	sc := ShardConfig{
 		Engine:           s.Engine,
+		Code:             s.Code,
 		PER:              s.PERs[sh.Point],
 		ErrorType:        s.ErrorType,
 		WithPauliFrame:   s.WithPauliFrame,

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -9,9 +13,10 @@ import (
 // determinism contract: dense and sparse frame sweeps fold to
 // bit-identical PointResults at every lane width and worker count.
 func TestSteaneSweepLaneWorkerInvariance(t *testing.T) {
-	for _, engine := range []Engine{EngineFrameSim, EngineSparse} {
-		base := SteaneSweepConfig{
+	for _, engine := range []string{EngineNameFrameSim, EngineNameSparse} {
+		base := SweepConfig{
 			Engine:           engine,
+			Code:             CodeSteane,
 			PERs:             []float64{6e-4, 3e-3},
 			Samples:          200,
 			MaxLogicalErrors: 3,
@@ -19,7 +24,7 @@ func TestSteaneSweepLaneWorkerInvariance(t *testing.T) {
 			BaseSeed:         808,
 			Workers:          1,
 		}
-		want, err := RunSteaneSweep(base)
+		want, err := RunSweep(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +35,7 @@ func TestSteaneSweepLaneWorkerInvariance(t *testing.T) {
 			cfg := base
 			cfg.Lanes = lanes
 			cfg.Workers = 3
-			got, err := RunSteaneSweep(cfg)
+			got, err := RunSweep(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,15 +47,15 @@ func TestSteaneSweepLaneWorkerInvariance(t *testing.T) {
 }
 
 // TestSteaneSweepRejectsBadLanes: the width vocabulary and the
-// stack-engine restriction are enforced at the sweep entry point.
+// stack-engine restriction are enforced for Steane sweeps too.
 func TestSteaneSweepRejectsBadLanes(t *testing.T) {
-	cfg := SteaneSweepConfig{PERs: []float64{1e-3}, Samples: 1, Lanes: 3, Engine: EngineFrameSim}
-	if _, err := RunSteaneSweep(cfg); err == nil {
+	cfg := SweepConfig{Code: CodeSteane, PERs: []float64{1e-3}, Samples: 1, Lanes: 3, Engine: EngineNameFrameSim}
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("lanes=3 accepted")
 	}
 	cfg.Lanes = 2
-	cfg.Engine = EngineStack
-	if _, err := RunSteaneSweep(cfg); err == nil {
+	cfg.Engine = EngineNameStack
+	if _, err := RunSweep(cfg); err == nil {
 		t.Error("stack engine accepted a lane width")
 	}
 }
@@ -65,23 +70,24 @@ func TestSteaneSweepRejectsBadLanes(t *testing.T) {
 // model, wrong observable, double-counted rounds) produces.
 func TestSteaneStackFrameAgreement(t *testing.T) {
 	const per = 8e-3
-	stackCfg := SteaneSweepConfig{
-		Engine:           EngineStack,
+	stackCfg := SweepConfig{
+		Engine:           EngineNameStack,
+		Code:             CodeSteane,
 		PERs:             []float64{per},
 		Samples:          3,
 		MaxLogicalErrors: 12,
 		MaxWindows:       4000,
 		BaseSeed:         2024,
 	}
-	stack, err := RunSteaneSweep(stackCfg)
+	stack, err := RunSweep(stackCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frameCfg := stackCfg
-	frameCfg.Engine = EngineFrameSim
+	frameCfg.Engine = EngineNameFrameSim
 	frameCfg.Samples = 64
 	frameCfg.MaxLogicalErrors = 4
-	frame, err := RunSteaneSweep(frameCfg)
+	frame, err := RunSweep(frameCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +105,8 @@ func TestSteaneStackFrameAgreement(t *testing.T) {
 // enter it — and the run must report a nonzero savings fraction, like
 // the SC17 stack does.
 func TestSteanePauliFrameSavings(t *testing.T) {
-	r, err := RunSteaneLER(LERConfig{
+	r, err := RunLER(LERConfig{
+		Code:             CodeSteane,
 		PER:              8e-3,
 		WithPauliFrame:   true,
 		MaxLogicalErrors: 6,
@@ -117,5 +124,72 @@ func TestSteanePauliFrameSavings(t *testing.T) {
 	}
 	if r.GatesSavedFrac() <= 0 {
 		t.Errorf("gates saved fraction %v, want > 0", r.GatesSavedFrac())
+	}
+}
+
+// goldenSteane pins Steane sweeps folded by the dedicated Steane sweep
+// entry point that preceded Code in Spec: for each case, the SHA-256 of
+// the JSON-encoded []PointResult (every LER, window count and saving
+// fraction, bit for bit) plus the per-point pooled counts, which say
+// where a mismatch lies. The frame cases share one digest: dense and
+// sparse Steane engines draw identical streams, and lane extraction is
+// exact. Regenerate only for a deliberate semantic change, and say so.
+var goldenSteane = []struct {
+	name   string
+	spec   Spec
+	digest string
+	totals [][2]int64 // per point: TotalErrors, TotalWindows
+}{
+	{"stack",
+		Spec{Engine: EngineNameStack, PERs: []float64{3e-3, 8e-3}, Samples: 2, WithPauliFrame: true,
+			MaxLogicalErrors: 3, MaxWindows: 2000, BaseSeed: 1313},
+		"aa992ea726cc3a40e14f21a8911b18d4403de9e86eae6746d22b963a3bbc1e2c",
+		[][2]int64{{6, 57}, {6, 207}}},
+	{"framesim", steaneFrameGoldenSpec(EngineNameFrameSim, 0),
+		"a035752d5e77a63cbc6110d7656c6ea197d3b09250b87069c4c2b83e1d348159",
+		[][2]int64{{202, 57806}, {210, 4767}}},
+	{"sparse", steaneFrameGoldenSpec(EngineNameSparse, 0),
+		"a035752d5e77a63cbc6110d7656c6ea197d3b09250b87069c4c2b83e1d348159",
+		[][2]int64{{202, 57806}, {210, 4767}}},
+	{"framesim-lanes8", steaneFrameGoldenSpec(EngineNameFrameSim, 8),
+		"a035752d5e77a63cbc6110d7656c6ea197d3b09250b87069c4c2b83e1d348159",
+		[][2]int64{{202, 57806}, {210, 4767}}},
+}
+
+// steaneFrameGoldenSpec is the frame-engine golden sweep: 70 samples
+// per point (one full word and a 6-shot tail at Lanes 1, one shard at
+// Lanes 8), logical Z errors, Pauli frame on.
+func steaneFrameGoldenSpec(engine string, lanes int) Spec {
+	return Spec{Engine: engine, PERs: []float64{4e-4, 3e-3}, Samples: 70, ErrorType: "z",
+		WithPauliFrame: true, MaxLogicalErrors: 3, MaxWindows: 1500, BaseSeed: 1313, Lanes: lanes}
+}
+
+// TestGoldenSteaneSweep: a Steane spec through RunSpec folds to exactly
+// the results the dedicated Steane sweep entry point produced, on every
+// engine and lane width.
+func TestGoldenSteaneSweep(t *testing.T) {
+	for _, g := range goldenSteane {
+		spec := g.spec
+		spec.Code = CodeSteane
+		pts, err := RunSpec(context.Background(), spec, RunOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(g.totals) {
+			t.Fatalf("%s: %d points, want %d", g.name, len(pts), len(g.totals))
+		}
+		for i, p := range pts {
+			if got := [2]int64{p.TotalErrors, p.TotalWindows}; got != g.totals[i] {
+				t.Errorf("%s point %d: errors/windows %v, want %v", g.name, i, got, g.totals[i])
+			}
+		}
+		blob, err := json.Marshal(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != g.digest {
+			t.Errorf("%s: folded results digest %s, want %s", g.name, got, g.digest)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func TestStatisticalAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Engine = experiments.EngineFrameSim
+			cfg.Engine = experiments.EngineNameFrameSim
 			frame, err := experiments.RunSweep(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +107,7 @@ func TestStatisticalAgreement(t *testing.T) {
 // ShardSeed-derived RNGs.
 func TestFrameSweepWorkerDeterminism(t *testing.T) {
 	base := experiments.SweepConfig{
-		Engine:           experiments.EngineFrameSim,
+		Engine:           experiments.EngineNameFrameSim,
 		PERs:             []float64{4e-3, 8e-3},
 		Samples:          130, // 3 words: 64 + 64 + 2
 		MaxLogicalErrors: 4,

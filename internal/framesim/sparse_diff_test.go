@@ -147,7 +147,7 @@ func TestSparseSampledStatisticalAgreement(t *testing.T) {
 }
 
 // TestSparseSweepStatisticalAgreement is the sweep-level agreement gate:
-// EngineSparse and EngineFrameSim run the same SweepConfig and their
+// the sparse and dense frame engines run the same SweepConfig and their
 // pooled LER estimates must agree within 5σ of the combined binomial
 // error. Seeds are fixed — deterministic, no flake.
 func TestSparseSweepStatisticalAgreement(t *testing.T) {
@@ -155,7 +155,7 @@ func TestSparseSweepStatisticalAgreement(t *testing.T) {
 		t.Skip("Monte-Carlo comparison")
 	}
 	cfg := experiments.SweepConfig{
-		Engine:           experiments.EngineFrameSim,
+		Engine:           experiments.EngineNameFrameSim,
 		PERs:             []float64{6e-3},
 		Samples:          512,
 		ErrorType:        experiments.LogicalX,
@@ -167,7 +167,7 @@ func TestSparseSweepStatisticalAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = experiments.EngineSparse
+	cfg.Engine = experiments.EngineNameSparse
 	sparse, err := experiments.RunSweep(cfg)
 	if err != nil {
 		t.Fatal(err)

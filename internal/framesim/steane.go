@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -220,48 +218,6 @@ func (e *SteaneEngine) RunBatchWide(seeds []int64, shots int) ([]ShotResult, err
 	res := make([]ShotResult, 64*len(seeds))
 	e.runWindows(st, res, shots, 0, nil)
 	return res[:shots], nil
-}
-
-// RunBatchWideWorkers is RunBatchWide with the lane words sharded across
-// up to `workers` goroutines in fixed contiguous blocks; the folded
-// result is bit-identical for any worker count.
-func (e *SteaneEngine) RunBatchWideWorkers(seeds []int64, shots, workers int) ([]ShotResult, error) {
-	if err := checkWide(seeds, shots); err != nil {
-		return nil, err
-	}
-	w := len(seeds)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > w {
-		workers = w
-	}
-	if workers == 1 {
-		return e.RunBatchWide(seeds, shots)
-	}
-	res := make([]ShotResult, shots)
-	block := (w + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c0 := 0; c0 < w; c0 += block {
-		c1 := c0 + block
-		if c1 > w {
-			c1 = w
-		}
-		chunkShots := shots - c0*64
-		if chunkShots > (c1-c0)*64 {
-			chunkShots = (c1 - c0) * 64
-		}
-		wg.Add(1)
-		go func(c0, c1, chunkShots int) {
-			defer wg.Done()
-			st := newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), seeds[c0:c1], nil)
-			sub := make([]ShotResult, 64*(c1-c0))
-			e.runWindows(st, sub, chunkShots, 0, nil)
-			copy(res[c0*64:c0*64+chunkShots], sub[:chunkShots])
-		}(c0, c1, chunkShots)
-	}
-	wg.Wait()
-	return res, nil
 }
 
 // RunScripted runs exactly `windows` QEC windows of a single shot with

@@ -170,31 +170,33 @@ func TestDispatchPartitionProperty(t *testing.T) {
 
 	// Adaptive sweeps dispatch one batch barrier at a time: the fleet
 	// must stop every point exactly where the serial run stops, and
-	// compute nothing past the stop.
-	adaptive := adaptivePartitionSpec()
-	wantAdaptive, wantAdaptiveBlob := serialReference(t, adaptive)
-	folded := 0
-	for p, pt := range wantAdaptive {
-		if len(pt.LERs) >= adaptive.Samples {
-			t.Fatalf("serial adaptive run: point %d ran all %d samples, no stop fired", p, adaptive.Samples)
-		}
-		folded += len(pt.LERs) // one run per stack shard
-	}
+	// compute nothing past the stop — for either code.
 	for _, tc := range []struct {
 		name         string
+		spec         experiments.Spec
 		workers      int
 		batch        int
 		inflight     int
 		failFirst    int64
 		peerFailures int64
 	}{
-		{name: "adaptive_2workers_batch4_flaky", workers: 2, batch: 4, inflight: 2, failFirst: 2},
-		{name: "adaptive_3workers_batch1_flaky", workers: 3, batch: 1, inflight: 3, failFirst: 3},
+		{name: "adaptive_2workers_batch4_flaky", spec: adaptivePartitionSpec(), workers: 2, batch: 4, inflight: 2, failFirst: 2},
+		{name: "adaptive_3workers_batch1_flaky", spec: adaptivePartitionSpec(), workers: 3, batch: 1, inflight: 3, failFirst: 3},
 		// Worker 0 fails every request: it dies at the first barrier and
 		// must stay dead for the later ones.
-		{name: "adaptive_2workers_one_dead", workers: 2, batch: 2, inflight: 2, failFirst: 1 << 30, peerFailures: 1},
+		{name: "adaptive_2workers_one_dead", spec: adaptivePartitionSpec(), workers: 2, batch: 2, inflight: 2, failFirst: 1 << 30, peerFailures: 1},
+		{name: "steane_adaptive_2workers_batch3_flaky", spec: steaneAdaptivePartitionSpec(), workers: 2, batch: 3, inflight: 2, failFirst: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			adaptive := tc.spec
+			wantAdaptive, wantAdaptiveBlob := serialReference(t, adaptive)
+			folded := 0
+			for p, pt := range wantAdaptive {
+				if len(pt.LERs) >= adaptive.Samples {
+					t.Fatalf("serial adaptive run: point %d ran all %d samples, no stop fired", p, adaptive.Samples)
+				}
+				folded += len(pt.LERs) // one run per stack shard
+			}
 			peers := startWorkers(t, tc.workers, tc.failFirst)
 			d := newDispatcher(t, DispatchOptions{
 				Peers: peers, BatchSize: tc.batch, InFlight: tc.inflight, Retries: 3,
@@ -249,6 +251,15 @@ func adaptivePartitionSpec() experiments.Spec {
 		AdaptMinSamples:  4,
 		AdaptBatch:       2,
 	}
+}
+
+// steaneAdaptivePartitionSpec is adaptivePartitionSpec on a Steane
+// logical qubit: the code travels in the spec, so workers build Steane
+// stacks with no dispatch code of their own.
+func steaneAdaptivePartitionSpec() experiments.Spec {
+	s := adaptivePartitionSpec()
+	s.Code = experiments.CodeSteane
+	return s
 }
 
 // TestDispatchAllPeersDeadFallsBackLocal: with every peer unreachable,

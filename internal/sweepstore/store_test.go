@@ -48,6 +48,7 @@ func TestShardKeyDistinct(t *testing.T) {
 		func(c *experiments.ShardConfig) { c.Seed = 18 },
 		func(c *experiments.ShardConfig) { c.Shots = 2 },
 		func(c *experiments.ShardConfig) { c.RefSeed = 1 },
+		func(c *experiments.ShardConfig) { c.Code = experiments.CodeSteane },
 	}
 	seen := map[string]int{}
 	baseKey, err := ShardKey(base)
@@ -105,6 +106,18 @@ func TestSpecKeyNormalization(t *testing.T) {
 	}
 	if k3 == k1 {
 		t.Error("different base seeds produced the same spec key")
+	}
+	// "sc17" is the SC17 default spelled out; Steane is another sweep.
+	for code, same := range map[string]bool{experiments.CodeSC17: true, experiments.CodeSteane: false} {
+		c := explicit
+		c.Code = code
+		k, err := SpecKey(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (k == k1) != same {
+			t.Errorf("code %q: spec key %s, SC17 key %s (want equal: %v)", code, k, k1, same)
+		}
 	}
 }
 
@@ -311,7 +324,7 @@ func TestRunCachedHitsAndResume(t *testing.T) {
 // engine, whose shards are 64-shot words with a RefSeed-dependent key.
 func TestRunCachedFrameSim(t *testing.T) {
 	cfg := experiments.SweepConfig{
-		Engine:           experiments.EngineFrameSim,
+		Engine:           experiments.EngineNameFrameSim,
 		PERs:             []float64{5e-3},
 		Samples:          70, // two words: one full, one partial
 		MaxLogicalErrors: 3,
