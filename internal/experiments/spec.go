@@ -25,14 +25,15 @@ const (
 	// protocol (Clifford circuits + Pauli noise); validated against the
 	// stack by differential and statistical tests.
 	EngineNameFrameSim = "framesim"
-	// EngineNameSparse drives the sparse gap-skipping variant of the
-	// frame engine: identical protocol semantics, but only nonzero frame
-	// entries are touched and whole noiseless windows are skipped via
-	// the geometric gap sampler — the engine of choice below
+	// EngineNameSparse drives the frame engine in sparse mode: identical
+	// protocol semantics, but an event walker touches only nonzero frame
+	// entries and hit error sites — the engine of choice below
 	// pseudo-threshold where almost every window is empty. Scripted runs
-	// are bit-identical to the dense frame engine; sampled runs agree
-	// statistically (the sparse engine skips the unobservable
-	// reset-gauge RNG draws, so the streams differ).
+	// are bit-identical to the dense frame engine. Sampled runs are
+	// bit-identical under the uncorrelated two-qubit model and agree
+	// statistically under the correlated one, where the walker draws a
+	// slot's hits in tape order and the dense engine draws the slot's
+	// single-qubit-channel trials before its pair trials.
 	EngineNameSparse = "sparse"
 )
 

@@ -1,8 +1,8 @@
 // The Steane [[7,1,3]] window loop: the windows protocol of thesis
 // Listing 5.7 driven over a Steane logical qubit instead of the SC17
-// ninja star. Everything else — the stack bottom, the frame engines
-// (framesim.NewSteane / NewSteaneSparse), the shard pipeline and the
-// sweep service — is shared with SC17 and selected by Code CodeSteane.
+// ninja star. Everything else — the stack bottom, the frame engine
+// (framesim.NewSteane), the shard pipeline and the sweep service — is
+// shared with SC17 and selected by Code CodeSteane.
 
 package experiments
 

@@ -37,9 +37,6 @@ func NewBatchWide(n, w int) *Batch {
 // NumQubits returns the number of qubits.
 func (b *Batch) NumQubits() int { return b.n }
 
-// Width returns the number of 64-shot words per plane.
-func (b *Batch) Width() int { return b.w }
-
 // Reset clears every frame to the identity.
 //
 //qa:hotpath
@@ -129,28 +126,16 @@ func (b *Batch) SWAP(p, q int) {
 }
 
 // XorX injects an X error into qubit q for the word-0 shots selected by
-// mask (the width-1 view; wide callers use XorXAt).
+// mask (the width-1 view).
 //
 //qa:hotpath
 func (b *Batch) XorX(q int, mask uint64) { b.fx[q*b.w] ^= mask }
 
 // XorZ injects a Z error into qubit q for the word-0 shots selected by
-// mask (the width-1 view; wide callers use XorZAt).
+// mask (the width-1 view).
 //
 //qa:hotpath
 func (b *Batch) XorZ(q int, mask uint64) { b.fz[q*b.w] ^= mask }
-
-// XorXAt injects an X error into qubit q for the shots of word k
-// selected by mask.
-//
-//qa:hotpath
-func (b *Batch) XorXAt(q, k int, mask uint64) { b.fx[q*b.w+k] ^= mask }
-
-// XorZAt injects a Z error into qubit q for the shots of word k
-// selected by mask.
-//
-//qa:hotpath
-func (b *Batch) XorZAt(q, k int, mask uint64) { b.fz[q*b.w+k] ^= mask }
 
 // X returns the word-0 X bit-plane of qubit q.
 //
@@ -161,16 +146,6 @@ func (b *Batch) X(q int) uint64 { return b.fx[q*b.w] }
 //
 //qa:hotpath
 func (b *Batch) Z(q int) uint64 { return b.fz[q*b.w] }
-
-// XAt returns word k of the X bit-plane of qubit q.
-//
-//qa:hotpath
-func (b *Batch) XAt(q, k int) uint64 { return b.fx[q*b.w+k] }
-
-// ZAt returns word k of the Z bit-plane of qubit q.
-//
-//qa:hotpath
-func (b *Batch) ZAt(q, k int) uint64 { return b.fz[q*b.w+k] }
 
 // ClearQubit zeroes both planes of qubit q (reset of a physical qubit
 // destroys any pending error on it).

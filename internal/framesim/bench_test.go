@@ -34,11 +34,11 @@ func BenchmarkFrameSimPropagate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runFused(st, e.esmFused, e.refESM, st.r1)
+		e.runFused(st, e.esmFused, e.refESM, st.out[0])
 		st.round++
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		e.runFused(st, e.esmFused, e.refESM, st.r1)
+		e.runFused(st, e.esmFused, e.refESM, st.out[0])
 	}); allocs != 0 {
 		b.Fatalf("propagate kernel allocates %.0f times per run", allocs)
 	}
@@ -59,11 +59,11 @@ func BenchmarkFrameSimWidePropagate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.runFused(st, e.esmFused, e.refESM, st.r1)
+				e.runFused(st, e.esmFused, e.refESM, st.out[0])
 				st.round++
 			}
 			if allocs := testing.AllocsPerRun(100, func() {
-				e.runFused(st, e.esmFused, e.refESM, st.r1)
+				e.runFused(st, e.esmFused, e.refESM, st.out[0])
 			}); allocs != 0 {
 				b.Fatalf("wide propagate kernel allocates %.0f times per run", allocs)
 			}
@@ -113,20 +113,11 @@ func BenchmarkFrameSimWideWindow(b *testing.B) {
 	}
 }
 
-// benchSteane compiles the Steane frame engine (dense or sparse) for the
-// benchmark workload.
-func benchSteane(b *testing.B, per float64, sparse bool) *SteaneEngine {
+// benchSteane compiles the Steane frame engine for the benchmark
+// workload.
+func benchSteane(b *testing.B, per float64) *SteaneEngine {
 	b.Helper()
-	cfg := Config{Model: layers.Depolarizing(per), MaxLogicalErrors: 10, RefSeed: 42}
-	var (
-		e   *SteaneEngine
-		err error
-	)
-	if sparse {
-		e, err = NewSteaneSparse(cfg)
-	} else {
-		e, err = NewSteane(cfg)
-	}
+	e, err := NewSteane(Config{Model: layers.Depolarizing(per), MaxLogicalErrors: 10, RefSeed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,10 +131,10 @@ func benchSteane(b *testing.B, per float64, sparse bool) *SteaneEngine {
 func BenchmarkSteaneFrameWindow(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchWidthName(w), func(b *testing.B) {
-			e := benchSteane(b, 2e-3, false)
+			e := benchSteane(b, 2e-3)
 			e.cfg.MaxWindows = 1
 			res := make([]ShotResult, 64*w)
-			st := newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), benchSeeds(w), nil)
+			st := e.newRunState(benchSeeds(w), nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -164,7 +155,7 @@ func BenchmarkSteaneFrameWindow(b *testing.B) {
 func BenchmarkSteaneFrameBatch(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchWidthName(w), func(b *testing.B) {
-			e := benchSteane(b, 5e-3, false)
+			e := benchSteane(b, 5e-3)
 			seeds := benchSeeds(w)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -178,28 +169,20 @@ func BenchmarkSteaneFrameBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSteaneFrameSparseBatch is BenchmarkSteaneFrameBatch on the
-// window-skipping engine at a below-threshold rate, where whole-batch
-// gap skipping dominates.
+// BenchmarkSteaneFrameSparseBatch is BenchmarkSteaneFrameBatch at a
+// below-threshold rate, where the window loop's whole-batch gap
+// skipping dominates.
 func BenchmarkSteaneFrameSparseBatch(b *testing.B) {
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
+	e := benchSteane(b, 3e-4)
+	seeds := benchSeeds(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RunBatchWide(seeds, 256); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			e := benchSteane(b, 3e-4, sparse)
-			seeds := benchSeeds(4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RunBatchWide(seeds, 256); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*256)/b.Elapsed().Seconds(), "shots/s")
-		})
 	}
+	b.ReportMetric(float64(b.N*256)/b.Elapsed().Seconds(), "shots/s")
 }
 
 // BenchmarkFrameSimWideBatch runs the full LER-point workload (the

@@ -1,7 +1,7 @@
 // Package framesim implements the bit-sliced Pauli-frame Monte-Carlo
 // engine for the LER windows protocol (thesis Listing 5.7).
 //
-// The QPDO stack (ninja star → counters → [pauli frame] → error layer →
+// The QPDO stack (code layer → counters → [pauli frame] → error layer →
 // CHP tableau) simulates one noisy trajectory at a time; every shot pays
 // the full tableau cost. This engine exploits that the protocol is a
 // Clifford circuit with Pauli noise: a noisy shot equals the noiseless
@@ -16,6 +16,14 @@
 // bit-identical to a width-1 run from the same seed, and wide batches
 // shard across cores word-by-word without any cross-word coupling.
 //
+// There is one executor. A code (SC17 in sc17.go, Steane in steane.go)
+// supplies its reference layer, ESM and probe circuits, layout check,
+// ESM-site map and decode step; compile does the rest, and one window
+// loop (run.go) runs every code. The engine mode only decides how a
+// window's noisy rounds propagate: the fused word-parallel program
+// (dense), or the tape-order event walker that touches only dirty qubits
+// and hit sites (sparse.go).
+//
 // Exactness rests on the protocol's structure: after the noiseless
 // initialization the state is the unique all-(+1)-stabilizer logical
 // state, so every window-phase measurement (ESM ancillas, diagnostics,
@@ -25,26 +33,34 @@
 // distribution faithful for arbitrary circuits; for this protocol the
 // randomized component is always a Z on a fresh eigenstate — a
 // stabilizer of the evolving reference — and provably never flips a
-// measured value, so the engine omits it (the sparse engine pioneered
-// the omission; it is what keeps clean frames zero there). The syndrome
-// stream is therefore a bit-exact function of the injected error
-// pattern — the property the differential test checks against the QPDO
-// stack.
+// measured value, so the engine omits it. The syndrome stream is
+// therefore a bit-exact function of the injected error pattern — the
+// property the differential tests check against the QPDO stack.
 //
-// The decoder windows run word-parallel too: syndrome bit-planes per
-// hardware ancilla group, the three-round agreement/intersection rules as
-// boolean word ops, and a scalar LUT lookup only for the (rare) shots
-// whose decoded syndrome is nonzero. The noiseless diagnostic round and
-// probe are not even executed as tapes: at compile time the engine
-// derives each noiseless outcome as an F₂ linear functional of the
-// current frame planes (and symbolically verifies the substitution is
-// sound — see buildShortcut), so a window's clean-check and probe cost a
-// handful of XORs per lane word instead of two full tape walks.
+// The decoder windows run word-parallel too, and the noiseless
+// diagnostic round and probe are not even executed as tapes: at compile
+// time the engine derives each noiseless outcome as an F₂ linear
+// functional of the current frame planes (and symbolically verifies the
+// substitution is sound — see newShortcut), so a window's clean-check
+// and probe cost a handful of XORs per lane word.
+//
+// An absorbed Pauli changes nothing observable (the paper's claim 1),
+// and sampled runs use that twice when every reference outcome is zero:
+//
+//   - Canonicalization. A lane whose diagnostic round is clean has a
+//     residual frame in N(S): it commutes with every stabilizer
+//     generator, so it can never contribute to a future syndrome, and its
+//     only future effect is a fixed flip of every probe outcome — which
+//     the protocol has just absorbed into its expectation. Zeroing the
+//     lane's frame and its expectation bit together is unobservable.
+//   - Window skipping. When every live lane word is canonical (zero
+//     frame, zero carried syndrome, zero expectation), a window with no
+//     hit changes nothing, so the loop jumps the geometric gap samplers
+//     straight to the window holding the next hit.
 package framesim
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"repro/internal/chp"
@@ -53,14 +69,7 @@ import (
 	"repro/internal/gates"
 	"repro/internal/layers"
 	"repro/internal/qpdo"
-	"repro/internal/surface"
 )
-
-// MaxLanes is the widest supported batch: 8 words = 512 shots per
-// propagate pass. Wider batches stop paying for themselves — the
-// per-shot RNG and decode work is already width-independent, and the
-// amortizable tape-walk overhead is down to 1/8th.
-const MaxLanes = 8
 
 // Observable selects the monitored logical error, mirroring the
 // experiment harness: logical X errors are detected on |0⟩_L with the
@@ -93,14 +102,9 @@ type Config struct {
 	// Model is the Pauli error channel.
 	Model layers.Model
 	// RefSeed seeds the reference tableau run. Every protocol measurement
-	// is required to be deterministic (New errors out otherwise), so the
-	// results do not depend on this value.
+	// is required to be deterministic (compilation errors out otherwise),
+	// so the results do not depend on this value.
 	RefSeed int64
-	// DenseThreshold is the dirty-qubit population at which the sparse
-	// engine (NewSparse) abandons event-driven propagation for the rest
-	// of the current tape and drains it with the dense word kernels
-	// (default 8). The dense engine ignores it.
-	DenseThreshold int
 }
 
 func (c Config) withDefaults() Config {
@@ -135,69 +139,61 @@ type ShotResult struct {
 	InjectedErrors int
 }
 
-// WindowTrace records what one QEC window did for shot lane 0; the
-// differential test compares traces against the manually driven stack.
-type WindowTrace struct {
-	// R1A..R2B are the raw syndromes of the two ESM rounds per hardware
-	// ancilla group.
-	R1A, R1B, R2A, R2B decoder.Syndrome
-	// CorrA / CorrB are the decoded correction masks (bit d = data qubit
-	// d) per group.
-	CorrA, CorrB uint16
-	// DiagA / DiagB are the noiseless diagnostic round syndromes.
-	DiagA, DiagB decoder.Syndrome
-	// Clean reports whether the diagnostic round was all-zero (the shot
-	// was probed).
-	Clean bool
-	// Probe is the probe outcome, or -1 when the shot was not probed.
-	Probe int
+// windowDecoder is what one QEC code contributes to the window loop:
+// its decode step. Everything else about a window — propagating the
+// noisy rounds, the correction slot, diagnostics, probe and accounting —
+// is shared.
+type windowDecoder interface {
+	// decode decodes lane word k over the window's noisy rounds
+	// (st.out) against its carried syndrome st.carry[k], applies the
+	// corrections to the frame, adds the correction gates and slots of
+	// live shots to res, records shot 0's correction masks in st.corr0
+	// when k is 0, and returns the lanes that issued a correction slot.
+	decode(st *runState, k int, res []ShotResult) uint64
 }
 
-// Engine is an immutable compiled instance of the windows protocol for
-// one configuration: instruction tapes, reference outcomes, decoder
-// tables and channel constants. RunBatch carries all mutable state in a
-// private runState, so one Engine may serve many goroutines concurrently.
-type Engine struct {
+// protocol is an immutable compiled instance of the windows protocol for
+// one code and configuration: instruction tapes, reference outcomes, the
+// noiseless-round shortcut, channel constants and the code's decode
+// step.
+// Runs carry all mutable state in a private runState, so one protocol
+// may serve many goroutines concurrently.
+type protocol struct {
 	cfg Config
-	tapeExec
+	n   int
+	chanParams
 
 	esm, probe       *Tape
 	esmFused         *fusedProg
 	refESM, refProbe []uint64
+	sc               shortcut
 
-	// groupOfSite/bitOfSite map ESM measurement sites to hardware ancilla
-	// groups (0 = A, ancillas 9..12; 1 = B) and syndrome bits.
-	groupOfSite, bitOfSite []uint8
-
-	lutA, lutB *decoder.LUT
-	// gateAIsZ: group-A syndromes decode to Z corrections (normal
-	// orientation); swapped after the logical Hadamard of ObserveZ.
-	gateAIsZ     bool
-	intersection bool
-
-	// esmOps/esmSlots are the per-round circuit sizes for the ops
-	// accounting (48 and 8 for a full SC17 round).
+	// rounds is the number of noisy ESM rounds per window; esmOps and
+	// esmSlots are one round's circuit size for the ops accounting.
+	rounds           int
 	esmOps, esmSlots int
+	// winSites counts one window's trial words per channel (single,
+	// measurement, correlated pair): the skip's unit of sampler advance.
+	winSites [3]int
+	// canon enables canonicalization and window skipping: both identify
+	// "zero frame" with "reference outcomes", which needs every reference
+	// word to be zero (it is — the post-init state carries all +1
+	// stabilizers — but compile verifies rather than assumes).
+	canon bool
 
-	// Noiseless-round shortcut (newShortcut).
-	sc shortcut
+	dec windowDecoder
+
+	// walk, when set, selects sparse mode: the noisy rounds run through
+	// the event walker over this index instead of the fused program, and
+	// a walk drains densely once threshold qubits are dirty.
+	walk      *sparseTape
+	threshold int
 }
 
-// tapeExec is the executor core shared by the protocol front-ends (the
-// SC17 Engine and the Steane engine): the physical qubit count plus the
-// cached channel constants every tape walk and hit sampler needs. It
-// carries no mutable run state — that lives in runState — so front-ends
-// embedding it stay safe for concurrent runs.
-type tapeExec struct {
-	n int
-	chanParams
-}
-
-// chanParams caches one error model's channel constants; the tape
-// executor shares them between the SC17 and Steane front-ends. uX/uXY
-// are the conditional Pauli-kind thresholds (PX/P, (PX+PY)/P) scaled to
-// the full uint64 range, so a hit's kind is one integer compare against
-// a raw RNG word instead of a float multiply chain.
+// chanParams caches one error model's channel constants. uX/uXY are the
+// conditional Pauli-kind thresholds (PX/P, (PX+PY)/P) scaled to the full
+// uint64 range, so a hit's kind is one integer compare against a raw RNG
+// word instead of a float multiply chain.
 type chanParams struct {
 	p, px, pxy, pMeas float64
 	uX, uXY           uint64
@@ -231,51 +227,43 @@ func uFrac(f float64) uint64 {
 	return uint64(f * 18446744073709551616.0) // f·2⁶⁴, exact to float64 precision
 }
 
-// New compiles the windows protocol for one configuration: it builds a
-// noiseless reference stack (ninja star over a CHP tableau), initializes
-// the logical qubit exactly like the harness, compiles the ESM and probe
-// circuits to tapes, and fixes the reference outcomes by running each
-// tape on the tableau — twice, verifying the reference is deterministic
-// and stationary (it must be: the post-init state carries all +1
-// stabilizers), so frame propagation against fixed reference words is
-// exact.
-func New(cfg Config) (*Engine, error) {
+// newReference applies cfg's defaults, validates its error model and
+// returns the CHP core, seeded by RefSeed, that a code builds its
+// noiseless reference layer on.
+func newReference(cfg Config) (Config, *layers.ChpCore, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
-	chpCore := layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed)))
-	star := surface.NewNinjaStarLayer(chpCore, surface.Config{
-		Ancilla:     surface.AncillaDedicated,
-		InitRounds:  cfg.InitRounds,
-		DecoderRule: cfg.DecoderRule,
-	})
-	if err := star.CreateQubits(1); err != nil {
-		return nil, err
+	return cfg, layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed))), nil
+}
+
+// initLogical creates one logical qubit on a code layer and initializes
+// it exactly like the harness: |0⟩_L, or |+⟩_L for ObserveZ.
+func initLogical(layer qpdo.Core, obs Observable) error {
+	if err := layer.CreateQubits(1); err != nil {
+		return err
 	}
 	init := circuit.New().Add(gates.Prep, 0)
-	if cfg.Observable == ObserveZ {
+	if obs == ObserveZ {
 		init.Add(gates.H, 0)
 	}
-	if _, err := qpdo.Run(star, init); err != nil {
-		return nil, err
-	}
+	_, err := qpdo.Run(layer, init)
+	return err
+}
 
-	st := star.Star(0)
-	n := chpCore.NumQubits()
-	// The tapes address physical qubits; correction masks address
-	// relative data indices. With one star on a fresh core they coincide.
-	for d := 0; d < surface.NumData; d++ {
-		if st.Data[d] != d {
-			return nil, fmt.Errorf("framesim: data qubit %d placed at %d; expected identity layout", d, st.Data[d])
-		}
-	}
-
-	esmC := st.ESMCircuit()
-	probeC := st.ProbeZLCircuit()
-	if cfg.Observable == ObserveZ {
-		probeC = st.ProbeXLCircuit()
-	}
+// compile is the shared half of every engine's construction, run once
+// the code has initialized its logical qubit on ref: it compiles the
+// window's ESM round and the probe to tapes and fixes the reference
+// outcomes by running each tape on the tableau twice — verifying the
+// reference is deterministic and stationary (it must be: the post-init
+// state carries all +1 stabilizers), and that the probe does not disturb
+// the ESM reference — so frame propagation against fixed reference words
+// is exact. It then derives the noiseless-round shortcut, the fused
+// sampling program and the zero-reference check. The caller maps the ESM
+// sites and sets the decode step.
+func compile(cfg Config, ref *layers.ChpCore, esmC, probeC *circuit.Circuit, rounds int) (*protocol, error) {
+	n := ref.NumQubits()
 	esm, err := Compile(esmC, n)
 	if err != nil {
 		return nil, err
@@ -284,80 +272,112 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	e := &Engine{
-		cfg:          cfg,
-		tapeExec:     tapeExec{n: n, chanParams: newChanParams(cfg.Model)},
-		esm:          esm,
-		probe:        probe,
-		lutA:         decoder.BuildLUT(surface.XSupports(surface.RotNormal), surface.NumData),
-		lutB:         decoder.BuildLUT(surface.ZSupports(surface.RotNormal), surface.NumData),
-		gateAIsZ:     st.Rotation == surface.RotNormal,
-		intersection: cfg.DecoderRule == decoder.RuleIntersection,
-		esmOps:       esmC.NumOps(),
-		esmSlots:     esmC.NumSlots(),
-	}
-
-	e.groupOfSite = make([]uint8, esm.NumMeas())
-	e.bitOfSite = make([]uint8, esm.NumMeas())
-	var seen [2][4]bool
-	for i := 0; i < esm.NumMeas(); i++ {
-		q := esm.MeasQubit(i)
-		rel := -1
-		for a, phys := range st.Anc {
-			if phys == q {
-				rel = a
-				break
-			}
-		}
-		if rel < 0 {
-			return nil, fmt.Errorf("framesim: ESM measures qubit %d, which is no ancilla", q)
-		}
-		g, b := uint8(rel/4), uint8(rel%4)
-		if seen[g][b] {
-			return nil, fmt.Errorf("framesim: ancilla %d measured twice per round", q)
-		}
-		seen[g][b] = true
-		e.groupOfSite[i], e.bitOfSite[i] = g, b
-	}
-	for g := range seen {
-		for b, ok := range seen[g] {
-			if !ok {
-				return nil, fmt.Errorf("framesim: ESM round misses group %d bit %d", g, b)
-			}
+	var runs [5][]uint64
+	tab := ref.Tableau()
+	for i, t := range [5]*Tape{esm, esm, probe, probe, esm} {
+		if runs[i], err = refRun(tab, t); err != nil {
+			return nil, err
 		}
 	}
-
-	tab := chpCore.Tableau()
-	if e.refESM, err = refRun(tab, esm); err != nil {
-		return nil, err
-	}
-	again, err := refRun(tab, esm)
-	if err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refESM, again) {
+	switch {
+	case !equalWords(runs[0], runs[1]):
 		return nil, fmt.Errorf("framesim: ESM reference outcomes are not stationary")
-	}
-	if e.refProbe, err = refRun(tab, probe); err != nil {
-		return nil, err
-	}
-	if again, err = refRun(tab, probe); err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refProbe, again) {
+	case !equalWords(runs[2], runs[3]):
 		return nil, fmt.Errorf("framesim: probe reference outcome is not stationary")
-	}
-	// The probe must be QND with respect to the ESM reference.
-	if again, err = refRun(tab, esm); err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refESM, again) {
+	case !equalWords(runs[0], runs[4]):
 		return nil, fmt.Errorf("framesim: probe disturbs the ESM reference outcomes")
 	}
-	e.sc = newShortcut(esm, probe, n, e.refProbe)
+	e := &protocol{
+		cfg:        cfg,
+		n:          n,
+		chanParams: newChanParams(cfg.Model),
+		esm:        esm,
+		probe:      probe,
+		refESM:     runs[0],
+		refProbe:   runs[2],
+		sc:         newShortcut(esm, probe, n, runs[2]),
+		rounds:     rounds,
+		esmOps:     esmC.NumOps(),
+		esmSlots:   esmC.NumSlots(),
+		canon:      allZero(runs[0]) && allZero(runs[2]),
+	}
 	e.esmFused = fuseTape(esm, e.corrPair)
+	e.winSites = [3]int{
+		rounds * len(e.esmFused.singleQ),
+		rounds * len(e.esmFused.measQ),
+		rounds * len(e.esmFused.pairA),
+	}
 	return e, nil
+}
+
+// ESMSites lists the error-injection sites of one ESM round (Round 0 in
+// every returned Site); scripted callers offset Round per execution. A
+// window consumes one round per noisy ESM execution — two for SC17, one
+// for Steane — so a W-window SC17 scripted run draws rounds 0..2W-1.
+func (e *protocol) ESMSites() []Site { return e.esm.Sites() }
+
+// refRun executes a tape on the reference tableau and returns the
+// broadcast outcome word per measurement site (0 or all-ones). Any
+// non-deterministic measurement is an error: the frame engine's exactness
+// argument requires fixed reference outcomes.
+func refRun(tab *chp.Tableau, t *Tape) ([]uint64, error) {
+	out := make([]uint64, t.NumMeas())
+	for i := range t.ops {
+		op := &t.ops[i]
+		a := int(op.a)
+		switch op.code {
+		case opH:
+			tab.H(a)
+		case opS:
+			tab.S(a)
+		case opSdg:
+			tab.Sdg(a)
+		case opCNOT:
+			tab.CNOT(a, int(op.b))
+		case opCZ:
+			tab.CZ(a, int(op.b))
+		case opSWAP:
+			tab.SWAP(a, int(op.b))
+		case opX:
+			tab.X(a)
+		case opY:
+			tab.Y(a)
+		case opZ:
+			tab.Z(a)
+		case opPrep:
+			tab.Reset(a)
+		case opMeas:
+			v, det := tab.Measure(a)
+			if !det {
+				return nil, fmt.Errorf("framesim: reference measurement of qubit %d is random; the frame engine needs a stabilized protocol state", a)
+			}
+			if v == 1 {
+				out[op.b] = ^uint64(0)
+			}
+		}
+	}
+	return out, nil
+}
+
+func equalWords(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func allZero(ws []uint64) bool {
+	for _, v := range ws {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // fusedProg is a tape specialized for the sampled hot path: within each
@@ -471,9 +491,12 @@ func symbolicPass(t *Tape, n int, zBasis bool) (out, postX, postZ []uint64) {
 // newShortcut: when ok, the diagnostic round's outcome at site i is the
 // ESM reference at i XOR the fx planes in diagX[i] XOR the fz planes in
 // diagZ[i] (masks index qubits), and the probe outcome is probeRef XOR
-// the probeX/probeZ planes — no tape execution needed.
+// the probeX/probeZ planes — no tape execution needed. stale is the
+// qubit set S below; no outcome ever reads its planes at a round
+// boundary, so they may be cleared there.
 type shortcut struct {
 	ok           bool
+	stale        uint64
 	diagX, diagZ []uint64
 	probeX       uint64
 	probeZ       uint64
@@ -531,774 +554,11 @@ func newShortcut(esm, probe *Tape, n int, refProbe []uint64) shortcut {
 	}
 	return shortcut{
 		ok:       true,
+		stale:    stale,
 		diagX:    outEX,
 		diagZ:    outEZ,
 		probeX:   outPX[last],
 		probeZ:   outPZ[last],
 		probeRef: refProbe[last],
-	}
-}
-
-// ESMSites lists the error-injection sites of one ESM round (Round 0 in
-// every returned Site); scripted callers offset Round per execution. Each
-// noisy window consumes two rounds, so a W-window scripted run draws
-// rounds 0..2W-1.
-func (e *Engine) ESMSites() []Site { return e.esm.Sites() }
-
-// refRun executes a tape on the reference tableau and returns the
-// broadcast outcome word per measurement site (0 or all-ones). Any
-// non-deterministic measurement is an error: the frame engine's exactness
-// argument requires fixed reference outcomes.
-func refRun(tab *chp.Tableau, t *Tape) ([]uint64, error) {
-	out := make([]uint64, t.NumMeas())
-	for i := range t.ops {
-		op := &t.ops[i]
-		a := int(op.a)
-		switch op.code {
-		case opH:
-			tab.H(a)
-		case opS:
-			tab.S(a)
-		case opSdg:
-			tab.Sdg(a)
-		case opCNOT:
-			tab.CNOT(a, int(op.b))
-		case opCZ:
-			tab.CZ(a, int(op.b))
-		case opSWAP:
-			tab.SWAP(a, int(op.b))
-		case opX:
-			tab.X(a)
-		case opY:
-			tab.Y(a)
-		case opZ:
-			tab.Z(a)
-		case opPrep:
-			tab.Reset(a)
-		case opMeas:
-			v, det := tab.Measure(a)
-			if !det {
-				return nil, fmt.Errorf("framesim: reference measurement of qubit %d is random; the frame engine needs a stabilized protocol state", a)
-			}
-			if v == 1 {
-				out[op.b] = ^uint64(0)
-			}
-		}
-	}
-	return out, nil
-}
-
-func equalWords(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// laneRun is the independent sampling state of one 64-shot word: its own
-// RNG and channel samplers. Word independence is what makes lane
-// extraction exact (word k of a W-wide run replays a width-1 run from
-// the same seed bit-for-bit) and wide worker sharding trivially
-// deterministic.
-type laneRun struct {
-	rng                *rand.Rand
-	single, meas, pair sampler
-}
-
-// runState is the mutable per-run state: frame planes, per-word RNGs and
-// channel samplers, and scratch buffers. All scratch is allocated once
-// per run; the window loop itself is allocation-free. Outcome scratch
-// (r1/r2/diag/probeOut) is strided like the batch planes: site i, word k
-// at index i·w+k. active and expected hold one mask word per lane word;
-// inj counts injected errors per global shot lane (64·w entries).
-type runState struct {
-	b *Batch
-	w int
-
-	lanes []laneRun
-
-	r1, r2, diag, probeOut []uint64
-	carryA, carryB         [][4]uint64
-	expected               []uint64
-
-	script Script
-	round  int
-	active []uint64
-	inj    []int
-}
-
-func (e *Engine) newRunState(seeds []int64, script Script) *runState {
-	return newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), seeds, script)
-}
-
-// newRunState allocates the mutable state of one run: a W-wide batch on
-// x.n qubits, one laneRun per word (RNG first, then — in sampled mode —
-// the single/meas/pair samplers in that fixed draw order), and outcome
-// scratch sized for esmMeas/probeMeas measurement sites per round.
-func newRunState(x *tapeExec, esmMeas, probeMeas int, seeds []int64, script Script) *runState {
-	w := len(seeds)
-	st := &runState{
-		b:        NewBatchWide(x.n, w),
-		w:        w,
-		lanes:    make([]laneRun, w),
-		script:   script,
-		r1:       make([]uint64, esmMeas*w),
-		r2:       make([]uint64, esmMeas*w),
-		diag:     make([]uint64, esmMeas*w),
-		probeOut: make([]uint64, probeMeas*w),
-		carryA:   make([][4]uint64, w),
-		carryB:   make([][4]uint64, w),
-		expected: make([]uint64, w),
-		active:   make([]uint64, w),
-		inj:      make([]int, 64*w),
-	}
-	for k, seed := range seeds {
-		l := &st.lanes[k]
-		l.rng = rand.New(rand.NewSource(seed))
-		if script == nil {
-			l.single = newSampler(x.p, l.rng)
-			l.meas = newSampler(x.pMeas, l.rng)
-			if x.corrPair {
-				l.pair = newSampler(x.p, l.rng)
-			}
-		}
-	}
-	return st
-}
-
-// checkWide validates a wide batch request: 1..MaxLanes seed words, and
-// a shot count that fills every word (the last one possibly partially).
-func checkWide(seeds []int64, shots int) error {
-	w := len(seeds)
-	if w < 1 || w > MaxLanes {
-		return fmt.Errorf("framesim: %d lane words outside 1..%d", w, MaxLanes)
-	}
-	if shots < 1 || shots > 64*w {
-		return fmt.Errorf("framesim: batch width %d outside 1..%d", shots, 64*w)
-	}
-	if shots <= 64*(w-1) {
-		return fmt.Errorf("framesim: %d shots leave lane word %d empty (pass %d words)", shots, w-1, (shots+63)/64)
-	}
-	return nil
-}
-
-// RunBatch runs up to 64 Monte-Carlo shots in one word, all seeded from
-// one RNG derived from seed. Shot j terminates when it accumulates
-// MaxLogicalErrors or reaches MaxWindows; terminated lanes keep
-// propagating (their planes are dead weight in the words) but stop
-// accumulating statistics. Safe for concurrent use on one Engine.
-func (e *Engine) RunBatch(seed int64, shots int) ([]ShotResult, error) {
-	var seeds [1]int64
-	seeds[0] = seed
-	return e.RunBatchWide(seeds[:], shots)
-}
-
-// RunBatchWide runs up to 64·len(seeds) Monte-Carlo shots in one W-wide
-// batch; word k carries shots 64k..64k+63 and is an independent run
-// seeded by seeds[k], so the result slice is bit-identical to
-// concatenating len(seeds) width-1 RunBatch calls — one wide pass just
-// amortizes the tape walk over all words. shots must fill every word
-// (the last may be partial). Safe for concurrent use on one Engine.
-func (e *Engine) RunBatchWide(seeds []int64, shots int) ([]ShotResult, error) {
-	if err := checkWide(seeds, shots); err != nil {
-		return nil, err
-	}
-	st := e.newRunState(seeds, nil)
-	res := make([]ShotResult, 64*len(seeds))
-	e.runWindows(st, res, shots, 0, nil)
-	return res[:shots], nil
-}
-
-// RunScripted runs exactly `windows` QEC windows of a single shot with
-// the Script's errors injected instead of sampled noise, recording a
-// WindowTrace per window. Caps
-// are ignored; the shot never terminates early. The differential test
-// feeds the same Script to an InjectLayer-instrumented QPDO stack and
-// requires bit-identical traces.
-func (e *Engine) RunScripted(windows int, script Script) ([]WindowTrace, ShotResult, error) {
-	if windows < 0 {
-		return nil, ShotResult{}, fmt.Errorf("framesim: negative window count %d", windows)
-	}
-	if script == nil {
-		script = Script{}
-	}
-	var seeds [1]int64
-	st := e.newRunState(seeds[:], script)
-	res := make([]ShotResult, 64)
-	traces := make([]WindowTrace, 0, windows)
-	e.runWindows(st, res, 1, windows, &traces)
-	return traces, res[0], nil
-}
-
-// runWindows drives the window loop. In sampled mode (st.script == nil)
-// it runs until every lane of the first `shots` terminates; in scripted
-// mode it runs exactly scriptWindows windows on lane 0. res must hold
-// 64·w entries; shot 64k+j of lane word k lands in res[64k+j].
-//
-// A lane word whose 64 shots have all terminated goes *dead*: its noise
-// sampling, gauge draws, decode and probe bookkeeping are skipped for
-// the remaining windows (only the shared gate kernels still touch its
-// plane words, writing values nothing reads). Word independence makes
-// the skip exact — a dead word's statistics are already final, and no
-// live word ever observes its RNG stream.
-func (e *Engine) runWindows(st *runState, res []ShotResult, shots, scriptWindows int, traces *[]WindowTrace) {
-	W := st.w
-	for k := 0; k < W; k++ {
-		lanes := shots - 64*k
-		if lanes >= 64 {
-			st.active[k] = ^uint64(0)
-		} else if lanes > 0 {
-			st.active[k] = uint64(1)<<uint(lanes) - 1
-		}
-	}
-	var corrMask [64]uint16
-	var tr WindowTrace
-	w := 0
-	for {
-		if st.script == nil {
-			live := uint64(0)
-			for k := 0; k < W; k++ {
-				live |= st.active[k]
-			}
-			if live == 0 || w >= e.cfg.MaxWindows {
-				break
-			}
-		} else if w >= scriptWindows {
-			break
-		}
-		w++
-
-		// Two noisy ESM rounds: the fused program in sampled mode, the
-		// site-exact tape for scripted injection.
-		if st.script == nil {
-			e.runFused(st, e.esmFused, e.refESM, st.r1)
-			st.round++
-			e.runFused(st, e.esmFused, e.refESM, st.r2)
-			st.round++
-		} else {
-			e.runTape(st, e.esm, e.refESM, true, st.r1)
-			st.round++
-			e.runTape(st, e.esm, e.refESM, true, st.r2)
-			st.round++
-		}
-
-		// Word-parallel windowed decode per lane word and hardware group,
-		// then scalar LUT lookups only for lanes with a nonzero decoded
-		// syndrome.
-		for k := 0; k < W; k++ {
-			if st.script == nil && st.active[k] == 0 {
-				continue
-			}
-			var a1, b1, a2, b2, decA, decB [4]uint64
-			gather(e, st.r1, k, W, &a1, &b1)
-			gather(e, st.r2, k, W, &a2, &b2)
-			nzA := e.decodeGroup(&a1, &a2, &st.carryA[k], &decA)
-			nzB := e.decodeGroup(&b1, &b2, &st.carryB[k], &decB)
-			var trA, trB uint16
-			for m := nzA; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				cm := uint16(e.lutA.CorrectionMask(synAt(&decA, j)))
-				corrMask[j] |= cm
-				if j == 0 {
-					trA = cm
-				}
-				applyCorr(st.b, cm, k, uint64(1)<<uint(j), e.gateAIsZ)
-			}
-			for m := nzB; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				cm := uint16(e.lutB.CorrectionMask(synAt(&decB, j)))
-				corrMask[j] |= cm
-				if j == 0 {
-					trB = cm
-				}
-				applyCorr(st.b, cm, k, uint64(1)<<uint(j), !e.gateAIsZ)
-			}
-			var hasCorr uint64
-			for m := nzA | nzB; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				if cm := corrMask[j]; cm != 0 {
-					hasCorr |= uint64(1) << uint(j)
-					if st.active[k]>>uint(j)&1 == 1 {
-						res[k*64+j].CorrectionGates += bits.OnesCount16(cm)
-						res[k*64+j].CorrectionSlots++
-					}
-					corrMask[j] = 0
-				}
-			}
-			// Without a Pauli frame the correction slot executes physically
-			// and is itself noisy: one single-qubit channel site per qubit
-			// (correction operands and idles alike), applied only to the
-			// lanes that issued a correction. With a frame, the slot is
-			// absorbed and injects nothing. Scripted runs inject nothing
-			// here either — the QPDO-side InjectLayer skips 1-slot circuits.
-			if hasCorr != 0 && st.script == nil && !e.cfg.WithPauliFrame {
-				e.sampleCorrectionSlot(st, k, hasCorr)
-			}
-			if k == 0 && traces != nil {
-				tr = WindowTrace{
-					R1A: synAt(&a1, 0), R1B: synAt(&b1, 0),
-					R2A: synAt(&a2, 0), R2B: synAt(&b2, 0),
-					CorrA: trA, CorrB: trB,
-					Probe: -1,
-				}
-			}
-		}
-
-		// Noiseless diagnostic round; only all-clean lanes are probed.
-		// With the compile-time shortcut the outcomes are evaluated as
-		// linear functionals of the frame planes; the fallback executes
-		// the tapes.
-		nm := e.esm.NumMeas()
-		probeBase := (e.probe.NumMeas() - 1) * W
-		if !e.sc.ok {
-			e.runTape(st, e.esm, e.refESM, false, st.diag)
-			e.runTape(st, e.probe, e.refProbe, false, st.probeOut)
-		}
-		for k := 0; k < W; k++ {
-			if st.script == nil && st.active[k] == 0 {
-				continue
-			}
-			clean := ^uint64(0)
-			var out uint64
-			if e.sc.ok {
-				for i := 0; i < nm; i++ {
-					v := e.refESM[i]
-					for m := e.sc.diagX[i]; m != 0; m &= m - 1 {
-						v ^= st.b.fx[bits.TrailingZeros64(m)*W+k]
-					}
-					for m := e.sc.diagZ[i]; m != 0; m &= m - 1 {
-						v ^= st.b.fz[bits.TrailingZeros64(m)*W+k]
-					}
-					st.diag[i*W+k] = v
-					clean &^= v
-				}
-				out = e.sc.probeRef
-				for m := e.sc.probeX; m != 0; m &= m - 1 {
-					out ^= st.b.fx[bits.TrailingZeros64(m)*W+k]
-				}
-				for m := e.sc.probeZ; m != 0; m &= m - 1 {
-					out ^= st.b.fz[bits.TrailingZeros64(m)*W+k]
-				}
-			} else {
-				for i := 0; i < nm; i++ {
-					clean &^= st.diag[i*W+k]
-				}
-				out = st.probeOut[probeBase+k]
-			}
-			flips := (out ^ st.expected[k]) & clean
-			st.expected[k] ^= flips
-			for m := flips & st.active[k]; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				r := &res[k*64+j]
-				r.LogicalErrors++
-				if st.script == nil && r.LogicalErrors >= e.cfg.MaxLogicalErrors {
-					st.active[k] &^= uint64(1) << uint(j)
-					r.Windows = w
-				}
-			}
-			if k == 0 && traces != nil {
-				var da, db [4]uint64
-				gather(e, st.diag, 0, W, &da, &db)
-				tr.DiagA, tr.DiagB = synAt(&da, 0), synAt(&db, 0)
-				tr.Clean = clean&1 == 1
-				if tr.Clean {
-					tr.Probe = int(out & 1)
-				}
-			}
-		}
-		if traces != nil {
-			*traces = append(*traces, tr)
-		}
-	}
-	for idx := 0; idx < shots; idx++ {
-		k, j := idx/64, idx%64
-		r := &res[idx]
-		if st.active[k]>>uint(j)&1 == 1 {
-			r.Windows = w
-		}
-		r.InjectedErrors = st.inj[idx]
-		r.OpsIssued = r.Windows*2*e.esmOps + r.CorrectionGates
-		r.SlotsIssued = r.Windows*2*e.esmSlots + r.CorrectionSlots
-		r.OpsExecuted = r.OpsIssued
-		r.SlotsExecuted = r.SlotsIssued
-		if e.cfg.WithPauliFrame {
-			r.OpsExecuted -= r.CorrectionGates
-			r.SlotsExecuted -= r.CorrectionSlots
-		}
-	}
-}
-
-// runTape propagates all lane words' frames through one tape. inject
-// enables the error sites for scripted injection; with inject false (or
-// no script) the sites are inert and the tape runs noiselessly (the
-// diagnostic/probe fallback semantics). Sampled noise never goes through
-// runTape — the fused program (runFused) owns that path. out receives
-// one outcome word per measurement site and lane word (site i, word k at
-// i·w+k): reference XOR the frame's X plane.
-//
-//qa:hotpath
-func (x *tapeExec) runTape(st *runState, t *Tape, ref []uint64, inject bool, out []uint64) {
-	b := st.b
-	w := st.w
-	for i := range t.ops {
-		op := &t.ops[i]
-		a := int(op.a)
-		switch op.code {
-		case opH:
-			b.H(a)
-		case opS, opSdg:
-			b.S(a)
-		case opCNOT:
-			b.CNOT(a, int(op.b))
-		case opCZ:
-			b.CZ(a, int(op.b))
-		case opSWAP:
-			b.SWAP(a, int(op.b))
-		case opX, opY, opZ:
-			// Applied in both reference and shots: frame unchanged.
-		case opPrep:
-			// No reset gauge randomization: the post-reset/post-measure
-			// state is a Z eigenstate, so a random Z frame component
-			// would be a stabilizer of the evolving reference and can
-			// never flip an outcome — omitting the draw is exact.
-			o := a * w
-			for k := 0; k < w; k++ {
-				b.fx[o+k] = 0
-				b.fz[o+k] = 0
-			}
-		case opMeas:
-			o := a * w
-			oo := int(op.b) * w
-			rv := ref[op.b]
-			for k := 0; k < w; k++ {
-				out[oo+k] = b.fx[o+k] ^ rv
-			}
-		case opErrMeas:
-			if !inject || st.script == nil {
-				continue
-			}
-			// Cold path: scripted runs are single-shot diagnostics.
-			//qa:allow hotpath
-			if pp, ok := st.script[Site{st.round, int(op.slot), KindMeas, a, -1}]; ok {
-				x.applyScripted(st, a, pp[0])
-			}
-		case opErrSingle:
-			if !inject || st.script == nil {
-				continue
-			}
-			// Cold path: scripted runs are single-shot diagnostics.
-			//qa:allow hotpath
-			if pp, ok := st.script[Site{st.round, int(op.slot), KindSingle, a, -1}]; ok {
-				x.applyScripted(st, a, pp[0])
-			}
-		case opErrPair:
-			if !inject || st.script == nil {
-				continue
-			}
-			// Cold path: scripted runs are single-shot diagnostics.
-			//qa:allow hotpath
-			if pp, ok := st.script[Site{st.round, int(op.slot), KindPair, a, int(op.b)}]; ok {
-				x.applyScripted(st, a, pp[0])
-				x.applyScripted(st, int(op.b), pp[1])
-			}
-		}
-	}
-}
-
-// runFused propagates all lane words' frames through one noisy round of
-// the fused program fp (with reference outcomes ref): gates, preps and
-// measurements execute exactly like runTape; the regrouped error runs
-// advance each word's geometric gap samplers over a whole run's trial
-// words at once. Dead lane words skip all sampling.
-//
-//qa:hotpath
-func (x *tapeExec) runFused(st *runState, fp *fusedProg, ref []uint64, out []uint64) {
-	b := st.b
-	w := st.w
-	for i := range fp.ops {
-		op := &fp.ops[i]
-		a := int(op.a)
-		switch op.code {
-		case opH:
-			b.H(a)
-		case opS, opSdg:
-			b.S(a)
-		case opCNOT:
-			b.CNOT(a, int(op.b))
-		case opCZ:
-			b.CZ(a, int(op.b))
-		case opSWAP:
-			b.SWAP(a, int(op.b))
-		case opX, opY, opZ:
-			// Applied in both reference and shots: frame unchanged.
-		case opPrep:
-			o := a * w
-			for k := 0; k < w; k++ {
-				b.fx[o+k] = 0
-				b.fz[o+k] = 0
-			}
-		case opMeas:
-			o := a * w
-			oo := int(op.b) * w
-			rv := ref[op.b]
-			for k := 0; k < w; k++ {
-				out[oo+k] = b.fx[o+k] ^ rv
-			}
-		case opRunSingle:
-			x.runSites(st, fp.singleQ[op.a:op.a+op.b], false)
-		case opRunMeas:
-			x.runSites(st, fp.measQ[op.a:op.a+op.b], true)
-		case opRunPair:
-			x.runPairs(st, fp.pairA[op.a:op.a+op.b], fp.pairB[op.a:op.a+op.b])
-		}
-	}
-}
-
-// runSites walks one fused run of single-channel (or pre-measurement
-// X-flip) sites for every live lane word: the word's gap sampler jumps
-// from hit to hit across the whole run, paying one comparison per hit
-// plus one per run instead of one per site.
-//
-//qa:hotpath
-func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
-	p := x.p
-	if measFlip {
-		p = x.pMeas
-	}
-	if p <= 0 {
-		return
-	}
-	w := st.w
-	m := int64(len(qs)) << 6
-	for k := 0; k < w; k++ {
-		if st.active[k] == 0 {
-			continue
-		}
-		l := &st.lanes[k]
-		s := &l.single
-		if measFlip {
-			s = &l.meas
-		}
-		for s.next < m {
-			q := int(qs[s.next>>6])
-			j := uint(s.next) & 63
-			bit := uint64(1) << j
-			o := q*w + k
-			if measFlip {
-				st.b.fx[o] ^= bit
-			} else {
-				v := l.rng.Uint64()
-				switch {
-				case v < x.uX:
-					st.b.fx[o] ^= bit
-				case v < x.uXY:
-					st.b.fx[o] ^= bit
-					st.b.fz[o] ^= bit
-				default:
-					st.b.fz[o] ^= bit
-				}
-			}
-			if st.active[k]&bit != 0 {
-				st.inj[k*64+int(j)]++
-			}
-			s.next += s.gap(l.rng)
-		}
-		s.next -= m
-	}
-}
-
-// runPairs walks one fused run of correlated two-qubit sites for every
-// live lane word.
-//
-//qa:hotpath
-func (x *tapeExec) runPairs(st *runState, qa, qb []int32) {
-	if x.p <= 0 {
-		return
-	}
-	w := st.w
-	m := int64(len(qa)) << 6
-	for k := 0; k < w; k++ {
-		if st.active[k] == 0 {
-			continue
-		}
-		l := &st.lanes[k]
-		s := &l.pair
-		for s.next < m {
-			site := s.next >> 6
-			x.applyPairHit(st, k, int(qa[site]), int(qb[site]), uint(s.next)&63)
-			s.next += s.gap(l.rng)
-		}
-		s.next -= m
-	}
-}
-
-// applySingleHit applies one single-qubit channel hit on lane j of word
-// k: the conditional Pauli kind given a hit (PX/P, PY/P, PZ/P), decided
-// by comparing one raw RNG word against the precomputed uint64
-// thresholds.
-//
-//qa:hotpath
-func (x *tapeExec) applySingleHit(st *runState, k, q int, j uint) {
-	bit := uint64(1) << j
-	o := q*st.w + k
-	v := st.lanes[k].rng.Uint64()
-	switch {
-	case v < x.uX:
-		st.b.fx[o] ^= bit
-	case v < x.uXY:
-		st.b.fx[o] ^= bit
-		st.b.fz[o] ^= bit
-	default:
-		st.b.fz[o] ^= bit
-	}
-	if st.active[k]&bit != 0 {
-		st.inj[k*64+int(j)]++
-	}
-}
-
-// applyPairHit applies one correlated two-qubit hit on lane j of word k:
-// one of the 15 non-trivial pairs, uniformly.
-//
-//qa:hotpath
-func (x *tapeExec) applyPairHit(st *runState, k, qa, qb int, j uint) {
-	bit := uint64(1) << j
-	oa := qa*st.w + k
-	ob := qb*st.w + k
-	pr := pairTable[st.lanes[k].rng.Intn(len(pairTable))]
-	if pr[0]&ErrX != 0 {
-		st.b.fx[oa] ^= bit
-	}
-	if pr[0]&ErrZ != 0 {
-		st.b.fz[oa] ^= bit
-	}
-	if pr[1]&ErrX != 0 {
-		st.b.fx[ob] ^= bit
-	}
-	if pr[1]&ErrZ != 0 {
-		st.b.fz[ob] ^= bit
-	}
-	if st.active[k]&bit != 0 {
-		st.inj[k*64+int(j)]++
-	}
-}
-
-// applyScripted injects a scripted Pauli on every lane of word 0
-// (scripted runs are single-shot; broadcasting keeps lane 0 correct and
-// the rest unused).
-func (x *tapeExec) applyScripted(st *runState, q int, p PauliErr) {
-	if p == ErrNone {
-		return
-	}
-	o := q * st.w
-	if p&ErrX != 0 {
-		st.b.fx[o] ^= ^uint64(0)
-	}
-	if p&ErrZ != 0 {
-		st.b.fz[o] ^= ^uint64(0)
-	}
-	st.inj[0]++
-}
-
-// sampleCorrectionSlot applies the physical correction slot's error
-// opportunities for lane word k: one single-qubit channel site per qubit
-// (the corrected qubits execute Pauli gates, the rest idle — all take
-// the same channel), masked to the lanes that actually issued a
-// correction slot. Trials for masked-out lanes are consumed but not
-// applied, which preserves both the per-lane distribution and seed
-// determinism.
-//
-//qa:hotpath
-func (x *tapeExec) sampleCorrectionSlot(st *runState, k int, hasCorr uint64) {
-	if x.p <= 0 {
-		return
-	}
-	l := &st.lanes[k]
-	s := &l.single
-	m := int64(x.n) << 6
-	for s.next < m {
-		j := uint(s.next) & 63
-		if hasCorr>>j&1 == 1 {
-			x.applySingleHit(st, k, int(s.next>>6), j)
-		}
-		s.next += s.gap(l.rng)
-	}
-	s.next -= m
-}
-
-// decodeGroup applies the windowed decoding rule word-parallel for one
-// hardware group: r1/r2 are the two fresh rounds as syndrome bit-planes,
-// carry is the persistent carried round. dec receives the decoded
-// syndrome planes; the return value is the lane mask with a nonzero
-// decoded syndrome (the only lanes needing scalar LUT work).
-//
-//qa:hotpath
-func (e *Engine) decodeGroup(r1, r2, carry, dec *[4]uint64) uint64 {
-	if e.intersection {
-		for i := 0; i < 4; i++ {
-			dec[i] = (carry[i] & r1[i]) | (r1[i] & r2[i]) | (carry[i] & r2[i])
-			carry[i] = r2[i]
-		}
-		return dec[0] | dec[1] | dec[2] | dec[3]
-	}
-	diff12 := (r1[0] ^ r2[0]) | (r1[1] ^ r2[1]) | (r1[2] ^ r2[2]) | (r1[3] ^ r2[3])
-	diffC1 := (carry[0] ^ r1[0]) | (carry[1] ^ r1[1]) | (carry[2] ^ r1[2]) | (carry[3] ^ r1[3])
-	eq12, eqC1 := ^diff12, ^diffC1
-	decMask := eq12 | eqC1
-	// Lanes decoding via the carried round remove the confirmed part
-	// from the next carry (decoder.WindowDecoder's carry adjustment).
-	adjust := eqC1 &^ eq12
-	for i := 0; i < 4; i++ {
-		carry[i] = r2[i] ^ (r1[i] & adjust)
-		dec[i] = r1[i] & decMask
-	}
-	return dec[0] | dec[1] | dec[2] | dec[3]
-}
-
-// gather scatters the per-site outcome words of lane word k into
-// syndrome bit-planes per hardware group.
-//
-//qa:hotpath
-func gather(e *Engine, out []uint64, k, w int, a, b *[4]uint64) {
-	for i := range e.groupOfSite {
-		v := out[i*w+k]
-		if e.groupOfSite[i] == 0 {
-			a[e.bitOfSite[i]] = v
-		} else {
-			b[e.bitOfSite[i]] = v
-		}
-	}
-}
-
-// synAt extracts the scalar syndrome of lane j from bit-planes.
-//
-//qa:hotpath
-func synAt(p *[4]uint64, j int) decoder.Syndrome {
-	return decoder.Syndrome((p[0]>>uint(j))&1 |
-		(p[1]>>uint(j))&1<<1 |
-		(p[2]>>uint(j))&1<<2 |
-		(p[3]>>uint(j))&1<<3)
-}
-
-// applyCorr XORs a decoded correction mask into one lane of word k's
-// frame: Z corrections into the Z planes, X corrections into the X
-// planes. This models both stack variants at once — a physical
-// correction gate and a frame-absorbed correction differ from the
-// reference by the same Pauli.
-//
-//qa:hotpath
-func applyCorr(b *Batch, cm uint16, k int, lane uint64, asZ bool) {
-	for m := cm; m != 0; m &= m - 1 {
-		d := bits.TrailingZeros16(m)
-		o := d*b.w + k
-		if asZ {
-			b.fz[o] ^= lane
-		} else {
-			b.fx[o] ^= lane
-		}
 	}
 }

@@ -75,6 +75,17 @@ func (s *sampler) siteOfNextHit() int64 {
 	return s.next >> 6
 }
 
+// windowsBeforeHit returns how many whole windows of `sites` trial words
+// lie before the next hit (disabledNext for an idle channel).
+//
+//qa:hotpath
+func (s *sampler) windowsBeforeHit(sites int) int64 {
+	if s.p <= 0 || sites == 0 {
+		return disabledNext
+	}
+	return s.siteOfNextHit() / int64(sites)
+}
+
 // skipSites advances the trial stream past k whole sites (64·k trials)
 // without visiting them. Legal only when no hit lands inside the skipped
 // span (the caller checks siteOfNextHit); the sampler state afterwards is

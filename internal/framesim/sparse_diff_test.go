@@ -39,17 +39,16 @@ func TestSparseScriptedTraceEquality(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := framesim.Config{
-				Observable:     tc.obs,
-				DecoderRule:    tc.rule,
-				Model:          layers.Depolarizing(1e-3), // ignored: scripted
-				RefSeed:        7,
-				DenseThreshold: tc.threshold,
+				Observable:  tc.obs,
+				DecoderRule: tc.rule,
+				Model:       layers.Depolarizing(1e-3), // ignored: scripted
+				RefSeed:     7,
 			}
 			eng, err := framesim.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp, err := framesim.NewSparse(cfg)
+			sp, err := framesim.NewSparseDrainAt(cfg, tc.threshold)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,11 +87,14 @@ func TestSparseScriptedTraceEquality(t *testing.T) {
 }
 
 // TestSparseSampledStatisticalAgreement compares sampled LER estimates of
-// the dense and sparse engines at the same physical error rate. The
-// engines intentionally consume different RNG streams (the sparse engine
-// skips the unobservable reset-gauge draws), so the comparison is
-// statistical: pooled logical-errors-per-window must agree within 5σ of
-// the combined binomial error. Seeds are fixed — deterministic, no flake.
+// the dense and sparse engines at the same physical error rate under
+// the default correlated two-qubit model. There the fused program draws
+// a slot's single-qubit-channel trials before its pair trials while the
+// walker draws them in tape order, so the engines consume one RNG stream
+// in different orders and the comparison is statistical: pooled
+// logical-errors-per-window must agree within 5σ of the combined
+// binomial error (TestSparseSampledMatchesDense pins the uncorrelated
+// model bit for bit). Seeds are fixed — deterministic, no flake.
 func TestSparseSampledStatisticalAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo comparison")

@@ -57,7 +57,7 @@ func requireEqualPlanes(t *testing.T, label string, span int, dense, sparse *Bat
 // frame planes and outcome words after every span — the strongest
 // statement of walker correctness, independent of the window plumbing.
 // The dirty mask is cross-checked against the planes at every span, and
-// low DenseThreshold values force the mid-tape dense drain.
+// low dense-drain thresholds force the mid-tape drain.
 func TestSparseScriptedSpanEquality(t *testing.T) {
 	const rounds = 36
 	for _, tc := range []struct {
@@ -78,29 +78,29 @@ func TestSparseScriptedSpanEquality(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
-				Observable:     tc.obs,
-				Model:          layers.Depolarizing(1e-3), // ignored: scripted
-				RefSeed:        7,
-				DenseThreshold: tc.threshold,
+				Observable: tc.obs,
+				Model:      layers.Depolarizing(1e-3), // ignored: scripted
+				RefSeed:    7,
 			}
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewSparse(cfg)
+			s, err := NewSparseDrainAt(cfg, tc.threshold)
 			if err != nil {
 				t.Fatal(err)
 			}
 			script := sparseScript(rand.New(rand.NewSource(tc.seed)), e.ESMSites(), rounds, tc.density)
 			dst := e.newRunState([]int64{0}, script)
-			sst := s.newRun(0, script)
+			sst := s.newRunState([]int64{0}, script)
+			probeT := indexTape(s.probe, s.corrPair)
 			outD := make([]uint64, e.esm.NumMeas())
 			outS := make([]uint64, e.esm.NumMeas())
 			probeD := make([]uint64, e.probe.NumMeas())
 			probeS := make([]uint64, e.probe.NumMeas())
 			for r := 0; r < rounds; r++ {
 				e.runTape(dst, e.esm, e.refESM, true, outD)
-				s.runTape(sst, s.esmT, e.refESM, true, outS)
+				s.walkTape(sst, s.walk, e.refESM, true, outS)
 				dst.round++
 				sst.round++
 				if !equalWords(outD, outS) {
@@ -109,12 +109,12 @@ func TestSparseScriptedSpanEquality(t *testing.T) {
 				requireEqualPlanes(t, "noisy", r, dst.b, sst.b, sst.dirty)
 				if r%3 == 2 {
 					e.runTape(dst, e.esm, e.refESM, false, outD)
-					s.runTape(sst, s.esmT, e.refESM, false, outS)
+					s.walkTape(sst, s.walk, e.refESM, false, outS)
 					if !equalWords(outD, outS) {
 						t.Fatalf("diag span %d: outcome words diverge", r)
 					}
 					e.runTape(dst, e.probe, e.refProbe, false, probeD)
-					s.runTape(sst, s.probeT, e.refProbe, false, probeS)
+					s.walkTape(sst, probeT, e.refProbe, false, probeS)
 					if !equalWords(probeD, probeS) {
 						t.Fatalf("probe span %d: outcome words diverge", r)
 					}
@@ -141,16 +141,15 @@ func TestSparseScriptedMatchesCoreFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := s.Engine()
-	script := sparseScript(rand.New(rand.NewSource(11)), e.ESMSites(), rounds, 0.05)
-	sst := s.newRun(0, script)
-	f := core.NewFrame(e.n)
-	out := make([]uint64, e.esm.NumMeas())
+	script := sparseScript(rand.New(rand.NewSource(11)), s.ESMSites(), rounds, 0.05)
+	sst := s.newRunState([]int64{0}, script)
+	f := core.NewFrame(s.n)
+	out := make([]uint64, s.esm.NumMeas())
 	for r := 0; r < rounds; r++ {
-		s.runTape(sst, s.esmT, e.refESM, true, out)
-		replayTapeOnFrame(t, f, e.esm, script, sst.round)
+		s.walkTape(sst, s.walk, s.refESM, true, out)
+		replayTapeOnFrame(t, f, s.esm, script, sst.round)
 		sst.round++
-		for q := 0; q < e.n; q++ {
+		for q := 0; q < s.n; q++ {
 			want := f.Record(q)
 			for _, lane := range []int{0, 63} {
 				if got := sst.b.Record(q, lane); got != want {
@@ -257,7 +256,7 @@ func TestSparseZeroNoise(t *testing.T) {
 // magnitude must not change the per-RunBatch allocation count (the fixed
 // setup cost is the run state itself).
 func TestSparseWindowLoopAllocFree(t *testing.T) {
-	build := func(maxWindows int) *Sparse {
+	build := func(maxWindows int) *Engine {
 		s, err := NewSparse(Config{
 			Observable:       ObserveX,
 			Model:            layers.Depolarizing(2e-3),

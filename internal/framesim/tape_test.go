@@ -109,7 +109,7 @@ func FuzzCompile(f *testing.F) {
 			return
 		}
 		// A tape that compiled must replay without panicking.
-		x := &tapeExec{n: tape.NumQubits()}
+		x := &protocol{n: tape.NumQubits()}
 		st := &runState{b: NewBatch(tape.NumQubits()), script: Script{}}
 		out := make([]uint64, tape.NumMeas())
 		x.runTape(st, tape, make([]uint64, tape.NumMeas()), true, out)

@@ -24,19 +24,14 @@ func wideRunners(t *testing.T, cfg framesim.Config) []wideRunner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steaneDense, err := framesim.NewSteane(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steaneSparse, err := framesim.NewSteaneSparse(cfg)
+	steane, err := framesim.NewSteane(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []wideRunner{
 		{"dense", dense.RunBatchWide},
 		{"sparse", sparse.RunBatchWide},
-		{"steane", steaneDense.RunBatchWide},
-		{"steane-sparse", steaneSparse.RunBatchWide},
+		{"steane", steane.RunBatchWide},
 	}
 }
 
