@@ -51,6 +51,13 @@ import (
 	"repro/internal/sweepstore"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so an idle or trickling connection cannot hold a
+// server goroutine open. Bodies are bounded in size by the handlers;
+// whole-request and write timeouts are left unset because the SSE
+// events route streams for the life of a sweep.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -144,7 +151,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -245,7 +252,7 @@ func cmdWorker(args []string) error {
 		st.SetMaxBytes(*maxBytes)
 		wopt.Store = st
 	}
-	hs := &http.Server{Addr: *addr, Handler: sweepserve.NewWorker(wopt)}
+	hs := &http.Server{Addr: *addr, Handler: sweepserve.NewWorker(wopt), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -51,7 +51,7 @@ type job struct {
 	computed   int
 	cached     int
 	pointsDone int
-	result     []experiments.PointResult
+	result     []byte // json.Marshal of the folded []PointResult
 	errMsg     string
 	log        []sseEvent // replay buffer for late subscribers
 	subs       []chan sseEvent
@@ -100,11 +100,12 @@ func (j *job) pointDone(point int, per float64) {
 	j.mu.Unlock()
 }
 
-// finish marks the job done and broadcasts the terminal event.
-func (j *job) finish(pts []experiments.PointResult) {
+// finish marks the job done with its encoded result and broadcasts the
+// terminal event.
+func (j *job) finish(result []byte) {
 	j.mu.Lock()
 	j.state = stateDone
-	j.result = pts
+	j.result = result
 	j.emitLocked(sseEvent{Name: eventDone, Data: j.snapshotLocked()})
 	j.mu.Unlock()
 }
@@ -158,8 +159,8 @@ func (j *job) unsubscribe(ch chan sseEvent) {
 	}
 }
 
-// results returns the folded sweep results (valid once done).
-func (j *job) results() []experiments.PointResult {
+// results returns the encoded sweep results (valid once done).
+func (j *job) results() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result

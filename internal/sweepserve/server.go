@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -134,6 +135,29 @@ type StatusResponse struct {
 	Error      string      `json:"error,omitempty"`
 }
 
+// maxRequestBytes bounds every request body the service decodes: a
+// submitted spec or a worker's shard batch. A spec with tens of
+// thousands of PERs or a batch of ~100k shard indices still fits; a
+// larger body is refused with 413 once the limit is read.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes one JSON request body of at most
+// maxRequestBytes into v, rejecting unknown fields. On failure it
+// returns the status to answer with: 413 for an oversized body, 400 for
+// any other decode error.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -141,6 +165,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	// left to report it to.
 	//qa:allow errcheck client disconnect mid-response is unactionable
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeJSONBytes writes an already encoded 200 body exactly as
+// writeJSON would have encoded the value: the bytes, then a newline.
+func writeJSONBytes(w http.ResponseWriter, blob []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	//qa:allow errcheck client disconnect mid-response is unactionable
+	w.Write(blob)
+	//qa:allow errcheck client disconnect mid-response is unactionable
+	w.Write([]byte("\n"))
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -196,11 +231,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.submits.Add(1)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode submit request: %v", err)
+	if code, err := decodeRequest(w, r, &req); err != nil {
+		writeError(w, code, "decode submit request: %v", err)
 		return
 	}
 	if req.Version != sweepstore.Version {
@@ -266,11 +299,17 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		j.fail(err)
 		return
 	}
-	if err := s.store.PutResult(j.id, pts); err != nil {
+	// Encode once: the same bytes are stored and served.
+	blob, err := json.Marshal(pts)
+	if err != nil {
 		j.fail(err)
 		return
 	}
-	j.finish(pts)
+	if err := s.store.PutResultBytes(j.id, blob); err != nil {
+		j.fail(err)
+		return
+	}
+	j.finish(blob)
 }
 
 // runSweep computes a job's points.
@@ -335,7 +374,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		st := j.snapshot()
 		switch st.State {
 		case stateDone:
-			writeJSON(w, http.StatusOK, j.results())
+			writeJSONBytes(w, j.results())
 			return
 		case stateFailed:
 			writeError(w, http.StatusConflict, "sweep %s failed: %s", id, st.Error)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -366,4 +367,127 @@ func TestServerHealthAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
+}
+
+// frameSpec is a sweep that finishes in milliseconds on the frame
+// engine: two points of two 64-shot words each.
+func frameSpec() experiments.Spec {
+	return experiments.Spec{
+		Engine:           experiments.EngineNameFrameSim,
+		PERs:             []float64{5e-3, 8e-3},
+		Samples:          70,
+		MaxLogicalErrors: 3,
+		MaxWindows:       2000,
+		BaseSeed:         31,
+	}
+}
+
+// TestServerResultBody pins the GET result body to json.Marshal of the
+// folded points plus a newline, byte for byte, both for a job done in
+// memory (served from the bytes the job stored) and for a stored job
+// after a restart (decoded from the store and re-encoded). A failed or
+// running job is a 409.
+func TestServerResultBody(t *testing.T) {
+	spec := frameSpec()
+	cfg, err := spec.SweepConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	want, err := experiments.RunSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBody := append(blob, '\n')
+
+	get := func(base, id string) (int, string, []byte) {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/sweeps/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), body
+	}
+	check := func(name, base, id string) {
+		t.Helper()
+		code, ct, body := get(base, id)
+		if code != http.StatusOK || ct != "application/json" {
+			t.Fatalf("%s: status %d, content type %q", name, code, ct)
+		}
+		if !bytes.Equal(body, wantBody) {
+			t.Fatalf("%s: body differs from json.Marshal(points)+\"\\n\":\ngot  %q\nwant %q", name, body, wantBody)
+		}
+	}
+
+	dir := t.TempDir()
+	_, ts := newTestServer(t, dir, 2)
+	id := submit(t, ts.URL, spec).ID
+	waitDone(t, ts.URL, id)
+	check("in-memory done job", ts.URL, id)
+
+	ts.Close()
+	srv2, ts2 := newTestServer(t, dir, 1)
+	check("stored job after restart", ts2.URL, id)
+
+	for _, state := range []string{stateFailed, stateRunning} {
+		j := newJob(id, spec.Normalized())
+		j.state = state
+		j.errMsg = "injected"
+		srv2.mu.Lock()
+		srv2.jobs[id] = j
+		srv2.mu.Unlock()
+		if code, _, body := get(ts2.URL, id); code != http.StatusConflict {
+			t.Errorf("%s job: status %d (%s), want 409", state, code, bytes.TrimSpace(body))
+		}
+	}
+}
+
+// TestRequestBodyBound: a submit or shard-batch body over
+// maxRequestBytes is refused with 413, and the server keeps serving.
+func TestRequestBodyBound(t *testing.T) {
+	oversized := `{"version":"` + strings.Repeat("a", maxRequestBytes) + `"}`
+	post := func(url string) int {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(oversized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	healthy := func(base string) {
+		t.Helper()
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after an oversized body: status %d", resp.StatusCode)
+		}
+	}
+
+	_, ts := newTestServer(t, t.TempDir(), 1)
+	if code := post(ts.URL + "/v1/sweeps"); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit: status %d, want 413", code)
+	}
+	healthy(ts.URL)
+	spec := frameSpec()
+	waitDone(t, ts.URL, submit(t, ts.URL, spec).ID)
+
+	ws := httptest.NewServer(NewWorker(WorkerOptions{}))
+	defer ws.Close()
+	if code := post(ws.URL + "/v1/shards"); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized shard batch: status %d, want 413", code)
+	}
+	healthy(ws.URL)
 }

@@ -89,3 +89,32 @@ func BenchmarkSweepStoreHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepStoreHitWide is BenchmarkSweepStoreHit for a 512-run
+// frame shard (eight 64-lane words), the shard shape of a wide-lane
+// sweep: decode cost and allocations per shard grow with the run count.
+func BenchmarkSweepStoreHitWide(b *testing.B) {
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := experiments.Spec{
+		Engine: "framesim", PERs: []float64{3e-3}, Samples: 512, Lanes: 8,
+		MaxLogicalErrors: 4, MaxWindows: 3000, BaseSeed: 2017,
+	}.Normalized()
+	sh := spec.Shard(0)
+	key, err := ShardKey(spec.ShardConfig(sh))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.PutShard(key, sh.Seed, codecRuns(sh.Count)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.GetShard(key, sh.Count, sh.Seed); !ok {
+			b.Fatal("miss")
+		}
+	}
+}

@@ -96,7 +96,11 @@ func (s *Store) GC(maxBytes int64) (GCResult, error) {
 		if !entries[i].atime.Equal(entries[j].atime) {
 			return entries[i].atime.Before(entries[j].atime)
 		}
-		return entries[i].key < entries[j].key
+		if entries[i].key != entries[j].key {
+			return entries[i].key < entries[j].key
+		}
+		// A key with both a current and a legacy payload.
+		return entries[i].path < entries[j].path
 	})
 
 	res := GCResult{RemainingBytes: total}
@@ -125,7 +129,9 @@ func (s *Store) noteGC(res GCResult) {
 }
 
 // scanShards walks the shards/ tree collecting every shard file with
-// its size and access time.
+// its size and access time. Every file but an in-flight temp file is a
+// shard, whatever its suffix: payloads of an older format (the JSON
+// .json files) are never read, but they count and stay evictable.
 func (s *Store) scanShards() ([]shardEntry, int64, error) {
 	var entries []shardEntry
 	var total int64
@@ -138,7 +144,7 @@ func (s *Store) scanShards() ([]shardEntry, int64, error) {
 			}
 			return err
 		}
-		if d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
+		if d.IsDir() || strings.HasPrefix(d.Name(), tempPrefix) {
 			return nil
 		}
 		fi, err := d.Info()
@@ -149,7 +155,7 @@ func (s *Store) scanShards() ([]shardEntry, int64, error) {
 			return err
 		}
 		entries = append(entries, shardEntry{
-			key:   strings.TrimSuffix(d.Name(), ".json"),
+			key:   strings.TrimSuffix(d.Name(), filepath.Ext(d.Name())),
 			path:  path,
 			size:  fi.Size(),
 			atime: fi.ModTime(),

@@ -12,9 +12,16 @@
 // Layout under the store root:
 //
 //	VERSION                     the config-hash version of the writer
-//	shards/<k[:2]>/<k>.json     one file per shard key k (content address)
+//	shards/<k[:2]>/<k>.bin      one file per shard key k (content address)
 //	jobs/<h>/spec.json          the submitted spec of sweep hash h
 //	jobs/<h>/result.json        the folded PointResults of sweep hash h
+//
+// Shard payloads are binary and checksummed (see codec.go): a tag, the
+// seed and shot count, nine varint counters per run and a CRC-32C
+// trailer. A payload that fails any check is a miss and is recomputed.
+// JSON payloads left by older writers (shards/<k[:2]>/<k>.json) are
+// never read: their shards are recomputed, while the files still count
+// toward the shard footprint and GC evicts them like any other shard.
 //
 // All writes are atomic (temp file + rename in the same directory), so a
 // crash mid-write never leaves a truncated file behind a valid key.
@@ -39,8 +46,10 @@ import (
 // Version names the config-hash scheme. It is folded into every key and
 // stamped on the store root, and the sweep service refuses specs from
 // clients with a different version: any change to simulation semantics,
-// RNG draw order, or the spec/shard encodings must bump it, so a stale
-// cache can never be served as current results.
+// RNG draw order, or the spec/shard-config encodings must bump it, so a
+// stale cache can never be served as current results. The shard payload
+// format does not need a bump: its own tag (codec.go) makes a payload
+// of any other format a miss, never a misread hit.
 //
 // v2: the sparse engine joined the engine vocabulary and Spec gained the
 // adaptive-sampling fields (adapt_rel_width / adapt_min_samples /
@@ -168,55 +177,38 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// shardFile is the on-disk shard payload. Seed and Shots replicate the
-// keyed ShardConfig fields so a hit can be cross-checked against what
-// the caller expects — a defense-in-depth guard against a corrupted or
-// hand-edited store.
-type shardFile struct {
-	Seed  int64                   `json:"seed"`
-	Shots int                     `json:"shots"`
-	Runs  []experiments.LERResult `json:"runs"`
-}
-
 func (s *Store) shardPath(key string) string {
-	return filepath.Join(s.root, "shards", key[:2], key+".json")
+	return filepath.Join(s.root, "shards", key[:2], key+".bin")
 }
 
-// GetShard returns the cached runs under key, verifying the payload
-// against the expected seed and shot count. Any mismatch, decode error,
-// or absence is a miss — the pipeline then recomputes the shard, so a
-// damaged cache degrades to extra work, never to wrong results.
+// GetShard returns the cached runs under key, verifying the payload's
+// checksum and its seed and shot count against the caller's. Any
+// mismatch, decode error, or absence is a miss — the pipeline then
+// recomputes the shard, so a damaged cache degrades to extra work,
+// never to wrong results.
 func (s *Store) GetShard(key string, wantShots int, wantSeed int64) ([]experiments.LERResult, bool) {
 	blob, err := os.ReadFile(s.shardPath(key))
 	if err != nil {
 		s.misses.Add(1)
 		return nil, false
 	}
-	var sf shardFile
-	if err := json.Unmarshal(blob, &sf); err != nil ||
-		sf.Seed != wantSeed || sf.Shots != wantShots || len(sf.Runs) != wantShots {
+	runs, ok := decodeShard(blob, wantShots, wantSeed)
+	if !ok {
 		s.misses.Add(1)
 		return nil, false
 	}
-	// Recompute the derived ratio from the stored integers: the counts
-	// are the ground truth and the division is exact to replay, so the
-	// round trip is bit-identical by construction.
-	experiments.NormalizeLERRuns(sf.Runs)
 	s.hits.Add(1)
 	if s.maxBytes.Load() > 0 {
 		s.touch(s.shardPath(key))
 	}
-	return sf.Runs, true
+	return runs, true
 }
 
 // PutShard persists one computed shard under key. When a size bound is
 // armed (SetMaxBytes) and the write pushes the shard footprint over it,
 // a GC pass runs before returning.
 func (s *Store) PutShard(key string, seed int64, runs []experiments.LERResult) error {
-	blob, err := json.Marshal(shardFile{Seed: seed, Shots: len(runs), Runs: runs})
-	if err != nil {
-		return fmt.Errorf("sweepstore: encode shard: %w", err)
-	}
+	blob := encodeShard(seed, runs)
 	path := s.shardPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("sweepstore: %w", err)
@@ -278,6 +270,13 @@ func (s *Store) PutResult(hash string, pts []experiments.PointResult) error {
 	if err != nil {
 		return fmt.Errorf("sweepstore: encode result: %w", err)
 	}
+	return s.PutResultBytes(hash, blob)
+}
+
+// PutResultBytes stores an already encoded result: blob must be
+// json.Marshal of the sweep's []experiments.PointResult. It lets a
+// caller that also serves the bytes encode them only once.
+func (s *Store) PutResultBytes(hash string, blob []byte) error {
 	if err := os.MkdirAll(filepath.Dir(s.jobPath(hash, "result.json")), 0o755); err != nil {
 		return fmt.Errorf("sweepstore: %w", err)
 	}
@@ -300,11 +299,14 @@ func (s *Store) GetResult(hash string) ([]experiments.PointResult, bool, error) 
 	return pts, true, nil
 }
 
+// tempPrefix names writeAtomic's in-flight files, which are not shards.
+const tempPrefix = ".tmp-"
+
 // writeAtomic writes data to path via a temp file and rename, so readers
 // never observe a partial file.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("sweepstore: %w", err)
 	}
